@@ -37,6 +37,7 @@
 
 mod asm;
 pub mod disasm;
+pub mod fnv;
 pub mod fusion;
 pub mod fxhash;
 mod interp;
@@ -49,6 +50,7 @@ pub mod trace;
 mod uop;
 
 pub use asm::{Label, ProgramBuilder};
+pub use fnv::{fnv1a, Fnv1a};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interp::{ArchSnapshot, Machine, Memory, RunError, RunResult, StepInfo};
 pub use macroop::{MacroInst, MacroKind};

@@ -32,7 +32,7 @@
 //! [`program_digest`] hashes the canonical *body* only, so the identity
 //! of a trace job is independent of which engine build stamped the file.
 
-use scc_isa::{Cond, MacroInst, MacroKind, Op, Operand, Program, ProgramError, Reg, Uop};
+use scc_isa::{fnv1a, Cond, MacroInst, MacroKind, Op, Operand, Program, ProgramError, Reg, Uop};
 use std::fmt;
 
 /// Leading magic of every `.scctrace` file.
@@ -158,7 +158,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
     if crc32c(body) != expected_crc {
         return Err(TraceError::CrcMismatch);
     }
-    let digest = fnv1a64(body);
+    let digest = fnv1a(body);
     let program = decode_body(body)?;
     Ok(Trace { program, engine_rev, digest })
 }
@@ -166,7 +166,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, TraceError> {
 /// Digest identifying a program independent of header stamps: FNV-1a-64
 /// over the canonical encoded body.
 pub fn program_digest(program: &Program) -> u64 {
-    fnv1a64(&encode_body(program))
+    fnv1a(&encode_body(program))
 }
 
 /// Formats a digest as the fixed-width 16-hex-digit string used in
@@ -439,15 +439,6 @@ fn crc32c(data: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 // ------------------------------------------------------------- base64

@@ -149,18 +149,21 @@ pub struct HierarchyStats {
 }
 
 impl HierarchyStats {
-    /// Every counter as a dotted `(name, value)` pair (e.g. `l1i.hits`),
-    /// in declaration order. The exhaustive destructuring makes this the
-    /// single source of truth: a new field fails to compile until listed.
-    pub fn counters(&self) -> Vec<(String, u64)> {
+    /// Every counter as a `(level, name, value)` triple, in declaration
+    /// order; the dotted metric name is `level.name` (e.g. `l1i.hits`).
+    /// The exhaustive destructuring makes this the single source of
+    /// truth: a new field fails to compile until listed.
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 9] {
         let HierarchyStats { l1i, l1d, l2, l3, dram } = self;
-        let mut out = Vec::with_capacity(9);
-        for (level, stats) in [("l1i", l1i), ("l1d", l1d), ("l2", l2), ("l3", l3)] {
-            for (name, value) in stats.counters() {
-                out.push((format!("{level}.{name}"), value));
+        // The cache levels overwrite slots 0..8; slot 8 stays DRAM.
+        let mut out = [("dram", "accesses", *dram); 9];
+        for (i, (level, stats)) in
+            [("l1i", l1i), ("l1d", l1d), ("l2", l2), ("l3", l3)].into_iter().enumerate()
+        {
+            for (j, (name, value)) in stats.counters().into_iter().enumerate() {
+                out[2 * i + j] = (level, name, value);
             }
         }
-        out.push(("dram.accesses".to_string(), *dram));
         out
     }
 }

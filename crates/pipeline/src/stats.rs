@@ -25,16 +25,6 @@ pub struct Metric {
     pub value: MetricValue,
 }
 
-impl Metric {
-    fn counter(name: impl Into<String>, value: u64) -> Metric {
-        Metric { name: name.into(), value: MetricValue::Counter(value) }
-    }
-
-    fn gauge(name: impl Into<String>, value: f64) -> Metric {
-        Metric { name: name.into(), value: MetricValue::Gauge(value) }
-    }
-}
-
 /// Aggregate event counts from one simulation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PipelineStats {
@@ -167,12 +157,30 @@ impl PipelineStats {
 
     /// Every counter of the run (including the nested hierarchy and
     /// partition counters, with dotted prefixes) plus the derived gauges,
-    /// as a flat list of named metrics.
+    /// as a flat list of named metrics — [`PipelineStats::visit_metrics`]
+    /// collected into owned names.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mut out = Vec::with_capacity(96);
+        self.visit_metrics(|prefix, name, value| {
+            let name = if prefix.is_empty() {
+                name.to_string()
+            } else {
+                format!("{prefix}.{name}")
+            };
+            out.push(Metric { name, value });
+        });
+        out
+    }
+
+    /// Calls `f(prefix, name, value)` for every metric, in registry
+    /// order, without allocating. The dotted metric name is
+    /// `prefix.name`, or plain `name` when `prefix` is empty (e.g.
+    /// `("", "cycles")`, `("l1i", "hits")`, `("unopt", "fills")`).
     ///
     /// The exhaustive destructuring below is the registry's single source
     /// of truth: adding a stats field without listing it here fails to
     /// compile, so serialized metrics can never silently lag the struct.
-    pub fn metrics(&self) -> Vec<Metric> {
+    pub fn visit_metrics(&self, mut f: impl FnMut(&'static str, &'static str, MetricValue)) {
         let PipelineStats {
             cycles,
             committed_uops,
@@ -214,7 +222,7 @@ impl PipelineStats {
             unopt,
             opt,
         } = self;
-        let mut out = Vec::with_capacity(64);
+        let counter = MetricValue::Counter;
         for (name, value) in [
             ("cycles", *cycles),
             ("committed_uops", *committed_uops),
@@ -253,21 +261,20 @@ impl PipelineStats {
             ("uopcache_lookups", *uopcache_lookups),
             ("decoded_macros", *decoded_macros),
         ] {
-            out.push(Metric::counter(name, value));
+            f("", name, counter(value));
         }
-        for (name, value) in hierarchy.counters() {
-            out.push(Metric::counter(name, value));
+        for (level, name, value) in hierarchy.counters() {
+            f(level, name, counter(value));
         }
         for (name, value) in unopt.counters() {
-            out.push(Metric::counter(format!("unopt.{name}"), value));
+            f("unopt", name, counter(value));
         }
         for (name, value) in opt.counters() {
-            out.push(Metric::counter(format!("opt.{name}"), value));
+            f("opt", name, counter(value));
         }
-        out.push(Metric::gauge("ipc", self.ipc()));
-        out.push(Metric::gauge("squash_overhead", self.squash_overhead()));
-        out.push(Metric::gauge("branch_mpki", self.branch_mpki()));
-        out
+        f("", "ipc", MetricValue::Gauge(self.ipc()));
+        f("", "squash_overhead", MetricValue::Gauge(self.squash_overhead()));
+        f("", "branch_mpki", MetricValue::Gauge(self.branch_mpki()));
     }
 }
 

@@ -6,6 +6,8 @@
 //! nesting depth, so a malicious frame can neither overflow the stack
 //! nor smuggle trailing garbage.
 
+use std::fmt::Write as _;
+
 /// Maximum nesting depth a frame may use. Requests are flat objects;
 /// anything deeper is an attack or a bug.
 const MAX_DEPTH: usize = 64;
@@ -95,15 +97,22 @@ impl Json {
 /// set the emitters in `scc_sim` use).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
+    out
+}
+
+/// [`escape`], appending to `out` instead of allocating.
+pub fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 fn skip_ws(b: &[u8], i: &mut usize) {

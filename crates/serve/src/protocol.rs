@@ -60,9 +60,10 @@
 //! relayed through `scc-route`. The regression suites hold both the
 //! service and the router to that.
 
-use crate::json::{escape, Json};
+use crate::json::{escape, push_escaped, Json};
 use scc_pipeline::{Metric, MetricValue};
-use scc_sim::{OptLevel, SimOptions, SimResult};
+use scc_sim::{OptLevel, RunOne, SimOptions, SimResult};
+use std::fmt::Write as _;
 
 /// Hard cap on one request frame. Well above any legitimate request
 /// (a few hundred bytes) and well below anything that could pressure
@@ -581,33 +582,10 @@ pub fn error_response(
     )
 }
 
-/// A 64-bit FNV-1a digest of the final architectural state. Two runs
-/// with equal digests reached the same registers, condition codes, and
-/// memory — a cheap wire-level stand-in for shipping the full snapshot.
-pub fn arch_digest(res: &SimResult) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for r in &res.snapshot.regs {
-        eat(*r as u64);
-    }
-    let cc = &res.snapshot.cc;
-    eat(u64::from(cc.zf)
-        | u64::from(cc.sf) << 1
-        | u64::from(cc.of) << 2
-        | u64::from(cc.cf) << 3);
-    for (addr, val) in &res.snapshot.mem {
-        eat(*addr);
-        eat(*val as u64);
-    }
-    h
-}
+/// The report's architectural-state digest. It lives in `scc_sim` so the
+/// runner can memoise it per resident result; see
+/// [`scc_sim::arch_digest`] for the byte order it hashes.
+pub use scc_sim::arch_digest;
 
 /// Renders the deterministic report object for one simulation result:
 /// headline counters, total energy, an architectural-state digest, and
@@ -616,33 +594,65 @@ pub fn arch_digest(res: &SimResult) -> u64 {
 /// relayed through the router.
 pub fn report_json(res: &SimResult) -> String {
     let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
-        "{{\"workload\":\"{}\",\"level\":\"{}\",\"halted\":{},\"cycles\":{},\
+    push_report(&mut out, res, arch_digest(res));
+    out
+}
+
+/// The one report renderer: [`report_json`]'s bytes, appended to `out`
+/// with `digest` (which must be [`arch_digest`] of `res`) as the
+/// `arch_digest` field. Fields are formatted straight into `out`; no
+/// metric name or value is allocated on its own.
+fn push_report(out: &mut String, res: &SimResult, digest: u64) {
+    out.push_str("{\"workload\":\"");
+    push_escaped(out, &res.workload);
+    let _ = write!(
+        out,
+        "\",\"level\":\"{}\",\"halted\":{},\"cycles\":{},\
          \"committed_uops\":{},\"program_uops\":{},\"energy_pj\":{:.6},\
-         \"arch_digest\":\"{:016x}\",\"metrics\":{{",
-        escape(&res.workload),
+         \"arch_digest\":\"{digest:016x}\",\"metrics\":{{",
         res.level.label(),
         res.halted,
         res.stats.cycles,
         res.stats.committed_uops,
         res.stats.program_uops,
         res.energy_pj(),
-        arch_digest(res),
-    ));
-    push_metric_fields(&mut out, &res.stats.metrics());
+    );
+    let mut sep = "";
+    res.stats.visit_metrics(|prefix, name, value| {
+        // Registry names are static identifiers: nothing to escape.
+        out.push_str(sep);
+        out.push('"');
+        if !prefix.is_empty() {
+            out.push_str(prefix);
+            out.push('.');
+        }
+        out.push_str(name);
+        out.push_str("\":");
+        push_metric_value(out, value);
+        sep = ",";
+    });
     out.push_str("}}");
-    out
+}
+
+/// Counters as integers, gauges as fixed-point, non-finite gauges as
+/// `0` — the same convention as `scc_sim::metrics_json`.
+fn push_metric_value(out: &mut String, value: MetricValue) {
+    let _ = match value {
+        MetricValue::Counter(c) => write!(out, "{c}"),
+        MetricValue::Gauge(g) if g.is_finite() => write!(out, "{g:.6}"),
+        MetricValue::Gauge(_) => write!(out, "0"),
+    };
 }
 
 fn push_metric_fields(out: &mut String, metrics: &[Metric]) {
     for (i, m) in metrics.iter().enumerate() {
-        let value = match &m.value {
-            MetricValue::Counter(c) => c.to_string(),
-            MetricValue::Gauge(g) if g.is_finite() => format!("{g:.6}"),
-            MetricValue::Gauge(_) => "0".to_string(),
-        };
-        let sep = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("\"{}\":{value}{sep}", escape(&m.name)));
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        push_escaped(out, &m.name);
+        out.push_str("\":");
+        push_metric_value(out, m.value);
     }
 }
 
@@ -657,26 +667,49 @@ pub fn metrics_object(metrics: &[Metric]) -> String {
     out
 }
 
-/// Renders a successful `run` response frame in the requested envelope.
+/// Renders a successful `run` response frame in the requested envelope,
+/// computing the result's digest.
 pub fn run_response(
     proto: Proto,
     id: Option<&str>,
     res: &SimResult,
     audit_jsonl: Option<&str>,
 ) -> String {
-    let audit = match audit_jsonl {
-        Some(jsonl) => {
-            let lines: Vec<&str> = jsonl.lines().filter(|l| !l.is_empty()).collect();
-            format!(",\"audit\":[{}]", lines.join(","))
+    render_run_response(proto, id, res, arch_digest(res), audit_jsonl)
+}
+
+/// [`run_response`] for a runner resolution, rendering the digest the
+/// runner memoised on the result instead of recomputing it — the
+/// server's reply on both its hit and its miss path. Same bytes.
+pub fn run_one_response(proto: Proto, id: Option<&str>, one: &RunOne) -> String {
+    render_run_response(proto, id, &one.result, one.digest, one.audit_jsonl.as_deref())
+}
+
+fn render_run_response(
+    proto: Proto,
+    id: Option<&str>,
+    res: &SimResult,
+    digest: u64,
+    audit_jsonl: Option<&str>,
+) -> String {
+    let mut out = String::with_capacity(4096);
+    out.push_str("{\"ok\":true,");
+    out.push_str(proto_field(proto));
+    out.push_str(&id_field(id));
+    out.push_str("\"report\":");
+    push_report(&mut out, res, digest);
+    if let Some(jsonl) = audit_jsonl {
+        out.push_str(",\"audit\":[");
+        let mut sep = "";
+        for line in jsonl.lines().filter(|l| !l.is_empty()) {
+            out.push_str(sep);
+            out.push_str(line);
+            sep = ",";
         }
-        None => String::new(),
-    };
-    format!(
-        "{{\"ok\":true,{}{}\"report\":{}{audit}}}\n",
-        proto_field(proto),
-        id_field(id),
-        report_json(res)
-    )
+        out.push(']');
+    }
+    out.push_str("}\n");
+    out
 }
 
 /// Renders a successful `key` response frame.

@@ -14,25 +14,15 @@
 //!   removed), not the whole keyspace — the reason this is a ring and
 //!   not `hash % N`.
 //!
-//! The hash is FNV-1a, the same dependency-free digest used elsewhere
-//! in the workspace (e.g. the wire report's `arch_digest`).
+//! The hash is [`scc_isa::fnv1a`], the workspace's one stable digest
+//! (it also keys the store index and the wire report's `arch_digest`).
+
+pub use scc_isa::fnv1a;
 
 /// Virtual points per shard. 64 points keeps the expected per-shard
 /// share of the keyspace within a few percent of uniform for the shard
 /// counts this service targets (single digits), at negligible memory.
 pub const VNODES: usize = 64;
-
-/// 64-bit FNV-1a over a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// Avalanche finalizer (splitmix64's) applied on top of FNV-1a before a
 /// value lands on the circle. Raw FNV over short, near-identical

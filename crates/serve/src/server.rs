@@ -52,7 +52,7 @@ use crate::conn::FrameDisposition;
 use crate::net::{Addr, Stream};
 use crate::protocol::{
     error_response, key_response, metrics_object, ok_response, parse_request, run_key,
-    run_response, trace_key, ErrorCode, Proto, Request, RunRequest, TraceRequest,
+    run_one_response, trace_key, ErrorCode, Proto, Request, RunRequest, TraceRequest,
     MAX_FRAME_BYTES,
 };
 #[cfg(unix)]
@@ -918,11 +918,12 @@ fn execute_job(shared: &Shared, qj: &QueuedJob) -> String {
     // for workload resolution. `run_key` is a pure string computation,
     // while resolving builds the whole workload program — on a warm
     // server the hit path is the common case and must not be priced
-    // like a miss.
+    // like a miss — nor by the result's size: the reply renders the
+    // digest the runner memoised on the entry.
     if !req.audit {
-        if let Some(r) = shared.runner.try_cached(&run_key(req, shared.cfg.max_cycles), id) {
+        if let Some(hit) = shared.runner.try_cached(&run_key(req, shared.cfg.max_cycles), id) {
             shared.jobs_ok.fetch_add(1, Ordering::Relaxed);
-            return run_response(proto, id, &r, None);
+            return run_one_response(proto, id, &hit);
         }
     }
     let workload = match &qj.workload {
@@ -949,7 +950,7 @@ fn execute_job(shared: &Shared, qj: &QueuedJob) -> String {
     match shared.runner.run_fresh(&job, qj.deadline, id, req.audit) {
         Ok(one) => {
             shared.jobs_ok.fetch_add(1, Ordering::Relaxed);
-            run_response(proto, id, &one.result, one.audit_jsonl.as_deref())
+            run_one_response(proto, id, &one)
         }
         Err(e) => {
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);

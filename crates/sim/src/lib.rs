@@ -39,7 +39,7 @@ pub use build::{ConfigError, Sim, SimBuilder, SimError};
 pub use runner::{
     cache_len, cache_metrics, cache_stats, default_jobs, parallel_map, parallel_map_indexed,
     resolve_workload, scc_jobs, set_cache_capacity, CacheStats, Job, JobError, JobTiming, RunOne,
-    Runner, StoreTier, DEFAULT_CACHE_CAPACITY,
+    Runner, StoreTier, DEFAULT_CACHE_CAPACITY, LOG_CAP,
 };
 
 /// The appendix's six experiment levels, cumulative.
@@ -208,6 +208,32 @@ impl SimResult {
         self.energy.frontend_pj + self.energy.backend_pj + self.energy.memory_pj
             + self.energy.static_pj
     }
+}
+
+/// A 64-bit FNV-1a digest of a result's final architectural state: the
+/// 32 registers as little-endian `u64`s, then the condition codes as
+/// one bitfield (`zf | sf<<1 | of<<2 | cf<<3`), then every `(addr,
+/// value)` memory pair in snapshot order. Two runs with equal digests
+/// reached the same registers, flags and memory — the wire report's
+/// cheap stand-in for shipping the whole snapshot.
+///
+/// The cost is linear in the memory image (milliseconds for a
+/// 100K-word one), so the runner computes it at most once per resident
+/// result and hands it out with every hit ([`RunOne::digest`]).
+pub fn arch_digest(res: &SimResult) -> u64 {
+    let mut h = scc_isa::Fnv1a::new();
+    for r in &res.snapshot.regs {
+        h.write_u64(*r as u64);
+    }
+    let cc = &res.snapshot.cc;
+    h.write_u64(
+        u64::from(cc.zf) | u64::from(cc.sf) << 1 | u64::from(cc.of) << 2 | u64::from(cc.cf) << 3,
+    );
+    for (addr, val) in &res.snapshot.mem {
+        h.write_u64(*addr);
+        h.write_u64(*val as u64);
+    }
+    h.finish()
 }
 
 /// Maps pipeline counters onto the energy model's event vector.

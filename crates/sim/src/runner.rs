@@ -21,17 +21,18 @@
 //! simulation is recorded and can be emitted as
 //! `results/BENCH_throughput.json` via [`write_throughput_json`]; the
 //! per-worker schedule is recorded as [`JobTiming`] entries
-//! ([`schedule`]) for the Chrome trace exporter's runner tracks.
+//! ([`schedule`]) for the Chrome trace exporter's runner tracks. Both
+//! logs keep their newest [`LOG_CAP`] entries.
 
 use crate::report::RunTiming;
-use crate::{energy_events, persist, OptLevel, SimOptions, SimResult};
+use crate::{arch_digest, energy_events, persist, OptLevel, SimOptions, SimResult};
 use scc_core::AuditLog;
 use scc_energy::EnergyModel;
 use scc_isa::trace::{shared, Event, SharedSink};
 use scc_pipeline::{Metric, MetricValue, Pipeline, PipelineConfig, RunOutcome};
 use scc_store::{RecoveryReport, Store, StoreConfig, StoreStats};
 use scc_workloads::{Scale, Workload};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -322,12 +323,40 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// The content-keyed result cache: bounded, least-recently-used-ish
-/// (exact LRU by access tick, evicting the stalest entry on overflow),
-/// with hit/miss/eviction accounting.
+/// One resident result plus its [`arch_digest`], computed at most once
+/// — by whichever publish or hit first needs it — and shared by every
+/// later hit.
+struct Resident {
+    result: Arc<SimResult>,
+    digest: OnceLock<u64>,
+}
+
+impl Resident {
+    fn new(result: Arc<SimResult>) -> Arc<Resident> {
+        Arc::new(Resident { result, digest: OnceLock::new() })
+    }
+
+    /// The memoised digest. Callers compute it outside the cache lock:
+    /// on a 100K-word image it takes milliseconds.
+    fn digest(&self) -> u64 {
+        *self.digest.get_or_init(|| arch_digest(&self.result))
+    }
+
+    /// The reply half of a resolution: the shared result and its digest.
+    fn run_one(&self, cached: bool, audit_jsonl: Option<String>) -> RunOne {
+        RunOne { result: Arc::clone(&self.result), digest: self.digest(), cached, audit_jsonl }
+    }
+}
+
+/// The content-keyed result cache: bounded, exact LRU by access tick
+/// (evicting the stalest entry on overflow), with hit/miss/eviction
+/// accounting. Ticks are unique, so `by_tick` orders the entries by
+/// recency and eviction pops its first element in O(log n).
 struct ResultCache {
-    /// key → (last-use tick, result).
-    map: HashMap<String, (u64, Arc<SimResult>)>,
+    /// key → (last-use tick, entry).
+    map: HashMap<Arc<str>, (u64, Arc<Resident>)>,
+    /// last-use tick → key; exactly one element per `map` entry.
+    by_tick: BTreeMap<u64, Arc<str>>,
     tick: u64,
     capacity: usize,
     hits: u64,
@@ -337,15 +366,30 @@ struct ResultCache {
 
 impl ResultCache {
     fn new(capacity: usize) -> ResultCache {
-        ResultCache { map: HashMap::new(), tick: 0, capacity, hits: 0, misses: 0, evictions: 0 }
+        ResultCache {
+            map: HashMap::new(),
+            by_tick: BTreeMap::new(),
+            tick: 0,
+            capacity,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    /// Moves the entry last used at `old` to the current tick.
+    fn retick(by_tick: &mut BTreeMap<u64, Arc<str>>, old: &mut u64, now: u64) {
+        let key = by_tick.remove(old).expect("every entry is indexed by its tick");
+        *old = now;
+        by_tick.insert(now, key);
     }
 
     /// Looks `key` up, bumping its recency and the hit/miss counters.
-    fn get(&mut self, key: &str) -> Option<Arc<SimResult>> {
+    fn get(&mut self, key: &str) -> Option<Arc<Resident>> {
         self.tick += 1;
         match self.map.get_mut(key) {
             Some((last_used, r)) => {
-                *last_used = self.tick;
+                Self::retick(&mut self.by_tick, last_used, self.tick);
                 self.hits += 1;
                 Some(Arc::clone(r))
             }
@@ -358,27 +402,26 @@ impl ResultCache {
 
     /// Inserts `key`, evicting the least-recently-used entry if the
     /// cache is full. A capacity of zero disables residency entirely.
-    fn insert(&mut self, key: String, r: Arc<SimResult>) {
+    fn insert(&mut self, key: &str, r: Arc<Resident>) {
         if self.capacity == 0 {
             return;
         }
         self.tick += 1;
-        if !self.map.contains_key(&key) {
-            self.evict_down_to(self.capacity.saturating_sub(1));
+        if let Some((last_used, slot)) = self.map.get_mut(key) {
+            Self::retick(&mut self.by_tick, last_used, self.tick);
+            *slot = r;
+            return;
         }
+        self.evict_down_to(self.capacity.saturating_sub(1));
+        let key: Arc<str> = key.into();
+        self.by_tick.insert(self.tick, Arc::clone(&key));
         self.map.insert(key, (self.tick, r));
     }
 
     /// Evicts least-recently-used entries until at most `target` remain.
     fn evict_down_to(&mut self, target: usize) {
         while self.map.len() > target {
-            // Access ticks are unique, so the minimum is unambiguous.
-            let stalest = self
-                .map
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
+            let (_, stalest) = self.by_tick.pop_first().expect("non-empty cache has a stalest entry");
             self.map.remove(&stalest);
             self.evictions += 1;
         }
@@ -400,15 +443,44 @@ fn cache() -> &'static Mutex<ResultCache> {
     CACHE.get_or_init(|| Mutex::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)))
 }
 
-fn timing_log() -> &'static Mutex<Vec<RunTiming>> {
-    static LOG: OnceLock<Mutex<Vec<RunTiming>>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(Vec::new()))
+/// Cap on each of the runner's logs: the throughput log ([`timings`]),
+/// the schedule log ([`schedule`]), and each store tier's op log
+/// ([`StoreTier::trace_events`]). A resident service records every hit,
+/// so its logs must not grow with the requests it serves; a figure run
+/// logs a few hundred entries and so keeps all of them.
+pub const LOG_CAP: usize = 16_384;
+
+/// A log that keeps its newest [`LOG_CAP`] entries.
+struct LogRing<T> {
+    entries: VecDeque<T>,
 }
 
-fn schedule_log() -> &'static Mutex<Vec<JobTiming>> {
-    static LOG: OnceLock<Mutex<Vec<JobTiming>>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(Vec::new()))
+impl<T: Clone> LogRing<T> {
+    const fn new() -> LogRing<T> {
+        LogRing { entries: VecDeque::new() }
+    }
+
+    fn push(&mut self, entry: T) {
+        if self.entries.len() == LOG_CAP {
+            self.entries.pop_front();
+        }
+        self.entries.push_back(entry);
+    }
+
+    fn extend(&mut self, entries: impl IntoIterator<Item = T>) {
+        for e in entries {
+            self.push(e);
+        }
+    }
+
+    /// The entries, oldest first.
+    fn snapshot(&self) -> Vec<T> {
+        self.entries.iter().cloned().collect()
+    }
 }
+
+static TIMING_LOG: Mutex<LogRing<RunTiming>> = Mutex::new(LogRing::new());
+static SCHEDULE_LOG: Mutex<LogRing<JobTiming>> = Mutex::new(LogRing::new());
 
 /// Sets the result cache's capacity (entries), evicting down to the new
 /// bound immediately. The service binary exposes this as
@@ -443,12 +515,6 @@ pub fn cache_metrics() -> Vec<Metric> {
     ]
 }
 
-/// Cap on the buffered store trace events; a resident service doing
-/// millions of lookups must not grow the op log without bound, and a
-/// trace of the first sixteen-thousand store operations is more than a
-/// viewer can usefully render anyway.
-const STORE_OPS_CAP: usize = 16_384;
-
 /// How often the background compactor wakes to check the segment tiers.
 const COMPACTOR_POLL: Duration = Duration::from_millis(200);
 
@@ -480,7 +546,7 @@ pub struct StoreTier {
     decode_rejects: AtomicU64,
     preloaded: AtomicU64,
     io_errors: AtomicU64,
-    ops: Mutex<Vec<Event>>,
+    ops: Mutex<LogRing<Event>>,
 }
 
 impl std::fmt::Debug for StoreTier {
@@ -557,7 +623,7 @@ impl StoreTier {
             decode_rejects: AtomicU64::new(0),
             preloaded: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
-            ops: Mutex::new(Vec::new()),
+            ops: Mutex::new(LogRing::new()),
         });
         tier.log_op(
             "recover",
@@ -654,7 +720,7 @@ impl StoreTier {
         for (key, bytes) in live {
             match persist::decode_result(&bytes) {
                 Some(result) => {
-                    lock_unpoisoned(cache()).insert(key, Arc::new(result));
+                    lock_unpoisoned(cache()).insert(&key, Resident::new(Arc::new(result)));
                     promoted += 1;
                 }
                 None => {
@@ -711,18 +777,15 @@ impl StoreTier {
     }
 
     /// The buffered store trace events (recover/hit/miss/write/warm/
-    /// flush/compact), for
-    /// [`crate::trace_export::replay_store_ops`]. Capped at
-    /// [`STORE_OPS_CAP`] entries.
+    /// flush/compact), oldest first, for
+    /// [`crate::trace_export::replay_store_ops`]: the newest
+    /// [`LOG_CAP`] of them.
     pub fn trace_events(&self) -> Vec<Event> {
-        lock_unpoisoned(&self.ops).clone()
+        lock_unpoisoned(&self.ops).snapshot()
     }
 
     fn log_op(&self, op: &'static str, detail: String, count: u64) {
-        let mut ops = lock_unpoisoned(&self.ops);
-        if ops.len() < STORE_OPS_CAP {
-            ops.push(Event::StoreOp { ts_us: epoch_us(), op, detail, count });
-        }
+        lock_unpoisoned(&self.ops).push(Event::StoreOp { ts_us: epoch_us(), op, detail, count });
     }
 }
 
@@ -925,13 +988,13 @@ impl Runner {
             for (i, key) in keys.iter().enumerate() {
                 let lru = cached.as_mut().and_then(|c| c.get(key.as_str()));
                 let r = match lru {
-                    Some(r) => Some(r),
+                    Some(r) => Some(Arc::clone(&r.result)),
                     // Read-through: an LRU miss probes the store tier
                     // and promotes a hit back into the LRU.
                     None => match self.store.as_ref().and_then(|t| t.get(key)) {
                         Some(r) => {
                             if let Some(c) = cached.as_mut() {
-                                c.insert(key.clone(), Arc::clone(&r));
+                                c.insert(key, Resident::new(Arc::clone(&r)));
                             }
                             Some(r)
                         }
@@ -1006,7 +1069,7 @@ impl Runner {
             });
             let r = Arc::new(r);
             if self.use_cache {
-                lock_unpoisoned(cache()).insert(keys[ji].clone(), Arc::clone(&r));
+                lock_unpoisoned(cache()).insert(&keys[ji], Resident::new(Arc::clone(&r)));
             }
             if let Some(tier) = &self.store {
                 tier.put(&keys[ji], &r);
@@ -1014,11 +1077,11 @@ impl Runner {
             out[ji] = Some(r);
         }
         if self.use_cache {
-            let mut log = lock_unpoisoned(timing_log());
+            let mut log = lock_unpoisoned(&TIMING_LOG);
             log.extend(fresh);
             log.extend(hits);
             drop(log);
-            lock_unpoisoned(schedule_log()).extend(sched);
+            lock_unpoisoned(&SCHEDULE_LOG).extend(sched);
         }
         if let Some(e) = first_err {
             return Err(e);
@@ -1063,8 +1126,8 @@ impl Runner {
         audit: bool,
     ) -> Result<RunOne, JobError> {
         if !audit {
-            if let Some(r) = self.try_cached(&job.key(), request) {
-                return Ok(RunOne { result: r, cached: true, audit_jsonl: None });
+            if let Some(hit) = self.try_cached(&job.key(), request) {
+                return Ok(hit);
             }
         }
         self.run_fresh(job, deadline, request, audit)
@@ -1074,7 +1137,8 @@ impl Runner {
     /// the result to the LRU and the persistent store: the miss half of
     /// [`Runner::try_run_one`]. A caller that already probed with
     /// [`Runner::try_cached`] lands here so the miss is not counted a
-    /// second time.
+    /// second time. The returned digest is memoised on the published
+    /// entry, so later hits on it do not recompute it.
     pub fn run_fresh(
         &self,
         job: &Job<'_>,
@@ -1087,17 +1151,18 @@ impl Runner {
         let t0 = Instant::now();
         let (result, audit_jsonl) = execute(job, deadline, audit)?;
         let wall = t0.elapsed().as_secs_f64();
-        let result = Arc::new(result);
+        let resident = Resident::new(Arc::new(result));
+        let result = &resident.result;
         if self.use_cache {
-            lock_unpoisoned(cache()).insert(key.clone(), Arc::clone(&result));
-            lock_unpoisoned(timing_log()).push(RunTiming {
+            lock_unpoisoned(cache()).insert(&key, Arc::clone(&resident));
+            lock_unpoisoned(&TIMING_LOG).push(RunTiming {
                 workload: job.workload.name.to_string(),
                 level: job.level.label(),
                 wall_secs: wall,
                 uops: result.stats.committed_uops,
                 cached: false,
             });
-            lock_unpoisoned(schedule_log()).push(JobTiming {
+            lock_unpoisoned(&SCHEDULE_LOG).push(JobTiming {
                 worker: 0,
                 start_us,
                 end_us: epoch_us(),
@@ -1108,9 +1173,9 @@ impl Runner {
             });
         }
         if let Some(tier) = &self.store {
-            tier.put(&key, &result);
+            tier.put(&key, result);
         }
-        Ok(RunOne { result, cached: false, audit_jsonl })
+        Ok(resident.run_one(false, audit_jsonl))
     }
 
     /// Probes the result tiers (LRU, then the persistent store,
@@ -1127,28 +1192,33 @@ impl Runner {
     ///
     /// Callers that miss should execute via [`Runner::run_fresh`], not
     /// [`Runner::try_run_one`], so the miss is counted exactly once.
-    pub fn try_cached(&self, key: &str, request: Option<&str>) -> Option<Arc<SimResult>> {
+    ///
+    /// A hit costs the same whatever the result's size: the digest comes
+    /// from the entry, computed once on its first use, and the hit's two
+    /// log entries go into rings capped at [`LOG_CAP`].
+    pub fn try_cached(&self, key: &str, request: Option<&str>) -> Option<RunOne> {
         let lru = if self.use_cache { lock_unpoisoned(cache()).get(key) } else { None };
-        let r = match lru {
+        let resident = match lru {
             Some(r) => r,
             None => {
-                let r = self.store.as_ref().and_then(|t| t.get(key))?;
+                let r = Resident::new(self.store.as_ref().and_then(|t| t.get(key))?);
                 if self.use_cache {
-                    lock_unpoisoned(cache()).insert(key.to_string(), Arc::clone(&r));
+                    lock_unpoisoned(cache()).insert(key, Arc::clone(&r));
                 }
                 r
             }
         };
         if self.use_cache {
+            let r = &resident.result;
             let now = epoch_us();
-            lock_unpoisoned(timing_log()).push(RunTiming {
+            lock_unpoisoned(&TIMING_LOG).push(RunTiming {
                 workload: r.workload.clone(),
                 level: r.level.label(),
                 wall_secs: 0.0,
                 uops: r.stats.committed_uops,
                 cached: true,
             });
-            lock_unpoisoned(schedule_log()).push(JobTiming {
+            lock_unpoisoned(&SCHEDULE_LOG).push(JobTiming {
                 worker: 0,
                 start_us: now,
                 end_us: now,
@@ -1158,16 +1228,19 @@ impl Runner {
                 request: request.map(str::to_string),
             });
         }
-        Some(r)
+        Some(resident.run_one(true, None))
     }
 }
 
-/// Outcome of [`Runner::try_run_one`]: the simulation result plus how it
-/// was produced.
+/// Outcome of [`Runner::try_run_one`], [`Runner::run_fresh`] and
+/// [`Runner::try_cached`]: the simulation result plus how it was
+/// produced.
 #[derive(Clone, Debug)]
 pub struct RunOne {
     /// The simulation result (shared with the cache).
     pub result: Arc<SimResult>,
+    /// [`arch_digest`] of `result`, memoised on its cache entry.
+    pub digest: u64,
     /// True when the result came from the cross-figure cache.
     pub cached: bool,
     /// The run's SCC decision audit log (JSON Lines), present only when
@@ -1176,9 +1249,10 @@ pub struct RunOne {
 }
 
 /// Snapshot of the process-wide throughput log (one entry per run the
-/// cached runners performed or resolved from cache).
+/// cached runners performed or resolved from cache), oldest first: the
+/// newest [`LOG_CAP`] entries.
 pub fn timings() -> Vec<RunTiming> {
-    lock_unpoisoned(timing_log()).clone()
+    lock_unpoisoned(&TIMING_LOG).snapshot()
 }
 
 /// Number of results currently in the cross-figure cache.
@@ -1187,11 +1261,12 @@ pub fn cache_len() -> usize {
 }
 
 /// Snapshot of the process-wide worker-schedule log (one [`JobTiming`]
-/// per job the cached runners executed or resolved). Feed it to
+/// per job the cached runners executed or resolved), oldest first: the
+/// newest [`LOG_CAP`] entries. Feed it to
 /// [`crate::trace_export::replay_schedule`] to render the runner tracks
 /// of a Chrome trace.
 pub fn schedule() -> Vec<JobTiming> {
-    lock_unpoisoned(schedule_log()).clone()
+    lock_unpoisoned(&SCHEDULE_LOG).snapshot()
 }
 
 /// The source revision to tag throughput snapshots with: the
@@ -1476,8 +1551,8 @@ mod tests {
         assert_eq!(Runner::new().jobs(), default_jobs());
     }
 
-    fn dummy_result(name: &str) -> Arc<SimResult> {
-        Arc::new(SimResult {
+    fn dummy_result(name: &str) -> Arc<Resident> {
+        Resident::new(Arc::new(SimResult {
             workload: name.to_string(),
             level: OptLevel::Baseline,
             stats: Default::default(),
@@ -1488,16 +1563,118 @@ mod tests {
                 mem: Vec::new(),
             },
             halted: true,
-        })
+        }))
+    }
+
+    /// The eviction model the indexed cache must reproduce: the same
+    /// tick accounting, with the stalest entry found by a full scan.
+    struct ScanModel {
+        map: HashMap<String, u64>,
+        tick: u64,
+        capacity: usize,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl ScanModel {
+        fn get(&mut self, key: &str) -> bool {
+            self.tick += 1;
+            match self.map.get_mut(key) {
+                Some(t) => {
+                    *t = self.tick;
+                    self.hits += 1;
+                    true
+                }
+                None => {
+                    self.misses += 1;
+                    false
+                }
+            }
+        }
+
+        fn insert(&mut self, key: &str) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.tick += 1;
+            if !self.map.contains_key(key) {
+                self.evict_down_to(self.capacity.saturating_sub(1));
+            }
+            self.map.insert(key.to_string(), self.tick);
+        }
+
+        fn evict_down_to(&mut self, target: usize) {
+            while self.map.len() > target {
+                let stalest =
+                    self.map.iter().min_by_key(|(_, t)| **t).map(|(k, _)| k.clone()).unwrap();
+                self.map.remove(&stalest);
+                self.evictions += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_eviction_matches_the_full_scan_model() {
+        let mut rng = scc_isa::rand_prog::SplitMix64::new(0x5eed_cace);
+        for round in 0..4 {
+            let capacity = [1usize, 3, 8, 16][round];
+            let mut cache = ResultCache::new(capacity);
+            let mut model = ScanModel {
+                map: HashMap::new(),
+                tick: 0,
+                capacity,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            };
+            for step in 0..4000 {
+                let key = format!("k{}", rng.next_u64() % 24);
+                match rng.next_u64() % 10 {
+                    0..=4 => {
+                        let got = cache.get(&key).map(|r| r.result.workload.clone());
+                        let want = model.get(&key);
+                        assert_eq!(got.is_some(), want, "round {round} step {step}: get {key}");
+                        if let Some(name) = got {
+                            assert_eq!(name, key, "a hit returns that key's result");
+                        }
+                    }
+                    5..=8 => {
+                        cache.insert(&key, dummy_result(&key));
+                        model.insert(&key);
+                    }
+                    _ => {
+                        // A `set_cache_capacity` shrink (or regrow).
+                        let to = (rng.next_u64() % (capacity as u64 + 1)) as usize;
+                        cache.capacity = to;
+                        cache.evict_down_to(to);
+                        model.capacity = to;
+                        model.evict_down_to(to);
+                    }
+                }
+                let s = cache.stats();
+                assert_eq!(
+                    (s.len, s.hits, s.misses, s.evictions),
+                    (model.map.len(), model.hits, model.misses, model.evictions),
+                    "round {round} step {step}: counters diverged"
+                );
+                assert_eq!(cache.by_tick.len(), cache.map.len(), "one index entry per key");
+            }
+            let mut resident: Vec<&str> = cache.map.keys().map(|k| &**k).collect();
+            let mut want: Vec<&str> = model.map.keys().map(String::as_str).collect();
+            resident.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(resident, want, "round {round}: the same keys stay resident");
+        }
     }
 
     #[test]
     fn result_cache_evicts_least_recently_used() {
         let mut c = ResultCache::new(2);
-        c.insert("a".into(), dummy_result("a"));
-        c.insert("b".into(), dummy_result("b"));
+        c.insert("a", dummy_result("a"));
+        c.insert("b", dummy_result("b"));
         assert!(c.get("a").is_some(), "touch `a` so `b` is stalest");
-        c.insert("c".into(), dummy_result("c"));
+        c.insert("c", dummy_result("c"));
         let s = c.stats();
         assert_eq!((s.len, s.capacity, s.evictions), (2, 2, 1));
         assert!(c.get("b").is_none(), "`b` was least recently used");
@@ -1509,7 +1686,7 @@ mod tests {
     #[test]
     fn result_cache_capacity_zero_disables_residency() {
         let mut c = ResultCache::new(0);
-        c.insert("a".into(), dummy_result("a"));
+        c.insert("a", dummy_result("a"));
         assert!(c.get("a").is_none());
         assert_eq!(c.stats().len, 0);
     }
@@ -1517,9 +1694,9 @@ mod tests {
     #[test]
     fn result_cache_reinsert_does_not_evict() {
         let mut c = ResultCache::new(2);
-        c.insert("a".into(), dummy_result("a"));
-        c.insert("b".into(), dummy_result("b"));
-        c.insert("a".into(), dummy_result("a"));
+        c.insert("a", dummy_result("a"));
+        c.insert("b", dummy_result("b"));
+        c.insert("a", dummy_result("a"));
         let s = c.stats();
         assert_eq!((s.len, s.evictions), (2, 0), "overwrite needs no room");
     }
@@ -1589,7 +1766,9 @@ mod tests {
         // asserts are lower bounds: the cache and its stats are
         // process-global and other tests run concurrently.)
         let hit = runner.try_cached(&key, Some("req-k")).unwrap();
-        assert!(Arc::ptr_eq(&fresh.result, &hit));
+        assert!(Arc::ptr_eq(&fresh.result, &hit.result));
+        assert_eq!(hit.digest, arch_digest(&hit.result));
+        assert_eq!(hit.digest, fresh.digest, "the hit reuses the published digest");
         assert!(cache_stats().hits > before.hits);
         assert!(schedule().iter().any(|t| t.request.as_deref() == Some("req-k") && t.cached));
     }

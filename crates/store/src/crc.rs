@@ -12,7 +12,7 @@
 const POLY: u32 = 0x82F6_3B78;
 
 /// One 256-entry lookup table, built in a `const` context so the crate
-/// stays dependency-free without paying a runtime init.
+/// stays std-only without paying a runtime init.
 const TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;

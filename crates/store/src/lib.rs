@@ -22,8 +22,9 @@
 //!   `tombstone`, rotation, and crash-safe compaction
 //!   (tmp → fsync → rename).
 //!
-//! The crate is dependency-free and knows nothing about the simulator;
-//! values are opaque bytes. `scc-sim` layers its result codec and the
+//! The crate is std-only — its one dependency, `scc-isa`, supplies the
+//! FNV-1a key hash and has no dependencies itself — and knows nothing
+//! about the simulator; values are opaque bytes. `scc-sim` layers its result codec and the
 //! runner's persistent tier on top.
 
 pub mod compact;

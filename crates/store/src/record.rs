@@ -165,14 +165,7 @@ pub fn parse(data: &[u8]) -> Parse {
 /// compacted segments' sparse indexes. Must never change across
 /// versions that share a segment format.
 pub fn key_hash(key: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    scc_isa::fnv1a(key.as_bytes())
 }
 
 #[cfg(test)]

@@ -43,10 +43,10 @@ impl OptPartitionStats {
     ///
     /// The exhaustive destructuring makes this the single source of truth:
     /// adding a field without listing it here fails to compile.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
         let OptPartitionStats { hits, misses, inserts, evictions, phased_out, insert_rejects } =
             *self;
-        vec![
+        [
             ("hits", hits),
             ("misses", misses),
             ("inserts", inserts),

@@ -56,9 +56,9 @@ impl UnoptPartitionStats {
     ///
     /// The exhaustive destructuring makes this the single source of truth:
     /// adding a field without listing it here fails to compile.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+    pub fn counters(&self) -> [(&'static str, u64); 5] {
         let UnoptPartitionStats { hits, misses, fills, evictions, fill_rejects } = *self;
-        vec![
+        [
             ("hits", hits),
             ("misses", misses),
             ("fills", fills),
