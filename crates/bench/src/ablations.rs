@@ -3,10 +3,10 @@
 //! buffer), hotness decay, and classic value-prediction forwarding.
 //!
 //! Run on a representative subset (two big winners, one mixed, one
-//! memory-bound, one FP) to keep each sweep minutes, not hours. All
-//! sweeps go through the shared experiment runner, so the per-workload
-//! baselines are simulated once for the whole ablation suite (and shared
-//! with any figure run in the same process).
+//! memory-bound, one FP) to keep each sweep minutes, not hours. Every
+//! sweep takes the runner to simulate on, so sweeps sharing one runner
+//! simulate the per-workload baselines once (and share them with any
+//! figure rendered on that runner).
 
 use scc_core::SccConfig;
 use scc_pipeline::{FrontendMode, PipelineConfig};
@@ -83,12 +83,7 @@ fn normalized_sweep(
 /// far more aggressive than the 15 used for plain value forwarding — and
 /// reports "the best performance benefits are derived through aggressive
 /// speculation".
-pub fn ablate_confidence_threshold(scale: Scale) -> String {
-    ablate_confidence_threshold_with(&Runner::new(), scale)
-}
-
-/// [`ablate_confidence_threshold`] on an explicit runner.
-pub fn ablate_confidence_threshold_with(runner: &Runner, scale: Scale) -> String {
+pub fn ablate_confidence_threshold(runner: &Runner, scale: Scale) -> String {
     let thresholds = [3u8, 5, 9, 15];
     normalized_sweep(
         runner,
@@ -107,12 +102,7 @@ pub fn ablate_confidence_threshold_with(runner: &Runner, scale: Scale) -> String
 /// Sweeps the compaction request queue depth. The paper: "even a request
 /// queue with as low as 6 entries is capable of identifying several hot
 /// code regions".
-pub fn ablate_request_queue(scale: Scale) -> String {
-    ablate_request_queue_with(&Runner::new(), scale)
-}
-
-/// [`ablate_request_queue`] on an explicit runner.
-pub fn ablate_request_queue_with(runner: &Runner, scale: Scale) -> String {
+pub fn ablate_request_queue(runner: &Runner, scale: Scale) -> String {
     let depths = [1usize, 2, 6, 16];
     normalized_sweep(
         runner,
@@ -125,12 +115,7 @@ pub fn ablate_request_queue_with(runner: &Runner, scale: Scale) -> String {
 
 /// Sweeps the write-buffer (maximum stream length) size; the paper sizes
 /// it at 18 micro-ops, the 3-way region capacity.
-pub fn ablate_write_buffer(scale: Scale) -> String {
-    ablate_write_buffer_with(&Runner::new(), scale)
-}
-
-/// [`ablate_write_buffer`] on an explicit runner.
-pub fn ablate_write_buffer_with(runner: &Runner, scale: Scale) -> String {
+pub fn ablate_write_buffer(runner: &Runner, scale: Scale) -> String {
     let sizes = [6usize, 12, 18, 30];
     normalized_sweep(
         runner,
@@ -143,12 +128,7 @@ pub fn ablate_write_buffer_with(runner: &Runner, scale: Scale) -> String {
 
 /// Sweeps the optimized partition's hotness decay period (paper: tuned
 /// to 3 cycles for optimized lines, 28 for unoptimized).
-pub fn ablate_hotness_decay(scale: Scale) -> String {
-    ablate_hotness_decay_with(&Runner::new(), scale)
-}
-
-/// [`ablate_hotness_decay`] on an explicit runner.
-pub fn ablate_hotness_decay_with(runner: &Runner, scale: Scale) -> String {
+pub fn ablate_hotness_decay(runner: &Runner, scale: Scale) -> String {
     let periods = [1u64, 3, 9, 28];
     normalized_sweep(
         runner,
@@ -177,12 +157,7 @@ pub fn ablate_hotness_decay_with(runner: &Runner, scale: Scale) -> String {
 /// Classic value-prediction forwarding (the paper's baseline feature) vs
 /// the plain baseline vs SCC — quantifies how much of SCC's win plain
 /// forwarding could claim.
-pub fn ablate_vp_forwarding(scale: Scale) -> String {
-    ablate_vp_forwarding_with(&Runner::new(), scale)
-}
-
-/// [`ablate_vp_forwarding`] on an explicit runner.
-pub fn ablate_vp_forwarding_with(runner: &Runner, scale: Scale) -> String {
+pub fn ablate_vp_forwarding(runner: &Runner, scale: Scale) -> String {
     normalized_sweep(
         runner,
         scale,
@@ -200,12 +175,7 @@ pub fn ablate_vp_forwarding_with(runner: &Runner, scale: Scale) -> String {
 
 /// The paper's future-work extension: folding complex integer operations
 /// (`mul`/`div`/`rem`) in the front-end ALU.
-pub fn ablate_future_work(scale: Scale) -> String {
-    ablate_future_work_with(&Runner::new(), scale)
-}
-
-/// [`ablate_future_work`] on an explicit runner.
-pub fn ablate_future_work_with(runner: &Runner, scale: Scale) -> String {
+pub fn ablate_future_work(runner: &Runner, scale: Scale) -> String {
     use scc_core::OptFlags;
     normalized_sweep(
         runner,
@@ -218,12 +188,7 @@ pub fn ablate_future_work_with(runner: &Runner, scale: Scale) -> String {
 
 /// Micro-fusion on/off (the artifact's `--enable-micro-fusion`), for the
 /// baseline and for full SCC.
-pub fn ablate_micro_fusion(scale: Scale) -> String {
-    ablate_micro_fusion_with(&Runner::new(), scale)
-}
-
-/// [`ablate_micro_fusion`] on an explicit runner.
-pub fn ablate_micro_fusion_with(runner: &Runner, scale: Scale) -> String {
+pub fn ablate_micro_fusion(runner: &Runner, scale: Scale) -> String {
     normalized_sweep(
         runner,
         scale,
@@ -240,20 +205,15 @@ pub fn ablate_micro_fusion_with(runner: &Runner, scale: Scale) -> String {
 }
 
 /// All ablations, concatenated.
-pub fn full_report(scale: Scale) -> String {
-    full_report_with(&Runner::new(), scale)
-}
-
-/// [`full_report`] on an explicit runner.
-pub fn full_report_with(runner: &Runner, scale: Scale) -> String {
+pub fn full_report(runner: &Runner, scale: Scale) -> String {
     [
-        ablate_confidence_threshold_with(runner, scale),
-        ablate_request_queue_with(runner, scale),
-        ablate_write_buffer_with(runner, scale),
-        ablate_hotness_decay_with(runner, scale),
-        ablate_vp_forwarding_with(runner, scale),
-        ablate_future_work_with(runner, scale),
-        ablate_micro_fusion_with(runner, scale),
+        ablate_confidence_threshold(runner, scale),
+        ablate_request_queue(runner, scale),
+        ablate_write_buffer(runner, scale),
+        ablate_hotness_decay(runner, scale),
+        ablate_vp_forwarding(runner, scale),
+        ablate_future_work(runner, scale),
+        ablate_micro_fusion(runner, scale),
     ]
     .join("\n")
 }

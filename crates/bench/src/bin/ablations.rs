@@ -3,6 +3,7 @@
 //! classic VP forwarding) on a representative workload subset.
 fn main() {
     let cfg = scc_bench::BenchConfig::from_env();
-    print!("{}", scc_bench::ablations::full_report_with(&cfg.runner(), cfg.scale));
-    scc_bench::emit_throughput();
+    let runner = cfg.runner();
+    print!("{}", scc_bench::ablations::full_report(&runner, cfg.scale));
+    scc_bench::emit_throughput(&runner);
 }

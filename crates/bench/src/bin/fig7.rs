@@ -1,6 +1,7 @@
 //! Regenerates the paper's Figure 7 from the synthetic suite.
 fn main() {
     let cfg = scc_bench::BenchConfig::from_env();
-    print!("{}", scc_bench::fig7_report_with(&cfg.runner(), cfg.scale));
-    scc_bench::emit_throughput();
+    let runner = cfg.runner();
+    print!("{}", scc_bench::fig7_report(&runner, cfg.scale));
+    scc_bench::emit_throughput(&runner);
 }

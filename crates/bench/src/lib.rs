@@ -7,8 +7,9 @@
 //! Workload dynamic length is controlled by the `SCC_ITERS` environment
 //! variable (default 6000 base loop iterations ≈ 0.5–2M micro-ops per
 //! benchmark); simulation parallelism by `SCC_JOBS` (default: available
-//! cores). All harnesses share one process-wide result cache, so runs
-//! common to several figures (e.g. the 19 baselines) are simulated once.
+//! cores). Every harness takes the [`Runner`] to simulate on: harnesses
+//! sharing one runner share its result cache, so runs common to several
+//! figures (e.g. the 19 baselines) are simulated once.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,17 +58,17 @@ impl BenchConfig {
         BenchConfig { scale: Scale::custom(iters), jobs: scc_sim::scc_jobs() }
     }
 
-    /// The cached runner sized to this config.
+    /// A new runner sized to this config.
     pub fn runner(&self) -> Runner {
         Runner::with_jobs(self.jobs)
     }
 }
 
-/// Writes the accumulated simulation-throughput log to
+/// Writes `runner`'s simulation-throughput log to
 /// `results/BENCH_throughput.json` (the figure binaries call this after
 /// printing their report).
-pub fn emit_throughput() {
-    match scc_sim::runner::write_throughput_json("results/BENCH_throughput.json") {
+pub fn emit_throughput(runner: &Runner) {
+    match runner.write_throughput_json("results/BENCH_throughput.json") {
         Ok(_) => eprintln!("wrote results/BENCH_throughput.json"),
         Err(e) => eprintln!("could not write results/BENCH_throughput.json: {e}"),
     }
@@ -75,13 +76,7 @@ pub fn emit_throughput() {
 
 /// Runs every workload at the given levels; results indexed
 /// `[workload][level]`.
-pub fn run_levels(scale: Scale, levels: &[OptLevel]) -> Vec<(Workload, Vec<Arc<SimResult>>)> {
-    run_levels_with(&Runner::new(), scale, levels)
-}
-
-/// [`run_levels`] on an explicit runner (the determinism tests pass a
-/// serial uncached one).
-pub fn run_levels_with(
+pub fn run_levels(
     runner: &Runner,
     scale: Scale,
     levels: &[OptLevel],
@@ -124,14 +119,9 @@ fn suite_filter(w: &Workload, suite: Option<Suite>) -> bool {
 /// Figure 6 (top, middle, bottom): committed micro-op reduction,
 /// normalized execution time, and squash overhead for each optimization
 /// level relative to the baseline.
-pub fn fig6_report(scale: Scale) -> String {
-    fig6_report_with(&Runner::new(), scale)
-}
-
-/// [`fig6_report`] on an explicit runner.
-pub fn fig6_report_with(runner: &Runner, scale: Scale) -> String {
+pub fn fig6_report(runner: &Runner, scale: Scale) -> String {
     let levels = OptLevel::all();
-    let data = run_levels_with(runner, scale, &levels);
+    let data = run_levels(runner, scale, &levels);
     let mut out = String::new();
 
     out.push_str("== Figure 6 (top): committed micro-op reduction vs baseline ==\n");
@@ -204,13 +194,8 @@ pub fn fig6_report_with(runner: &Runner, scale: Scale) -> String {
 
 /// Figure 7: micro-ops delivered by each front-end source, baseline vs
 /// full SCC.
-pub fn fig7_report(scale: Scale) -> String {
-    fig7_report_with(&Runner::new(), scale)
-}
-
-/// [`fig7_report`] on an explicit runner.
-pub fn fig7_report_with(runner: &Runner, scale: Scale) -> String {
-    let data = run_levels_with(runner, scale, &[OptLevel::Baseline, OptLevel::Full]);
+pub fn fig7_report(runner: &Runner, scale: Scale) -> String {
+    let data = run_levels(runner, scale, &[OptLevel::Baseline, OptLevel::Full]);
     let mut out = String::new();
     out.push_str("== Figure 7: uops by fetch source (baseline | SCC) ==\n");
     let mut t = Table::new(&[
@@ -234,13 +219,8 @@ pub fn fig7_report_with(runner: &Runner, scale: Scale) -> String {
 }
 
 /// Figure 8: normalized energy, baseline vs full SCC.
-pub fn fig8_report(scale: Scale) -> String {
-    fig8_report_with(&Runner::new(), scale)
-}
-
-/// [`fig8_report`] on an explicit runner.
-pub fn fig8_report_with(runner: &Runner, scale: Scale) -> String {
-    let data = run_levels_with(runner, scale, &[OptLevel::Baseline, OptLevel::Full]);
+pub fn fig8_report(runner: &Runner, scale: Scale) -> String {
+    let data = run_levels(runner, scale, &[OptLevel::Baseline, OptLevel::Full]);
     let mut out = String::new();
     out.push_str("== Figure 8: normalized energy (SCC / baseline, lower is better) ==\n");
     let mut t = Table::new(&["benchmark", "baseline mJ", "scc mJ", "normalized", "savings"]);
@@ -274,12 +254,7 @@ pub fn fig8_report_with(runner: &Runner, scale: Scale) -> String {
 
 /// Figure 9: H3VP vs EVES under full SCC — speedup over baseline,
 /// invariant validation failures, squash overhead.
-pub fn fig9_report(scale: Scale) -> String {
-    fig9_report_with(&Runner::new(), scale)
-}
-
-/// [`fig9_report`] on an explicit runner.
-pub fn fig9_report_with(runner: &Runner, scale: Scale) -> String {
+pub fn fig9_report(runner: &Runner, scale: Scale) -> String {
     let workloads = all_workloads(scale);
     let mut out = String::new();
     out.push_str("== Figure 9: value predictor sensitivity (full SCC) ==\n");
@@ -319,12 +294,7 @@ pub fn fig9_report_with(runner: &Runner, scale: Scale) -> String {
 }
 
 /// Figure 10: optimized-partition size sensitivity (12/24/36 of 48 sets).
-pub fn fig10_report(scale: Scale) -> String {
-    fig10_report_with(&Runner::new(), scale)
-}
-
-/// [`fig10_report`] on an explicit runner.
-pub fn fig10_report_with(runner: &Runner, scale: Scale) -> String {
+pub fn fig10_report(runner: &Runner, scale: Scale) -> String {
     let workloads = all_workloads(scale);
     let splits = [12usize, 24, 36];
     let mut out = String::new();
@@ -366,12 +336,7 @@ pub fn fig10_report_with(runner: &Runner, scale: Scale) -> String {
 /// Figure 11: constant-width restriction sensitivity (8/16/32 bits vs
 /// unrestricted): micro-op reduction and normalized time, plus live-out
 /// carry rates (§VII-C).
-pub fn fig11_report(scale: Scale) -> String {
-    fig11_report_with(&Runner::new(), scale)
-}
-
-/// [`fig11_report`] on an explicit runner.
-pub fn fig11_report_with(runner: &Runner, scale: Scale) -> String {
+pub fn fig11_report(runner: &Runner, scale: Scale) -> String {
     let workloads = all_workloads(scale);
     let widths: [Option<u32>; 4] = [Some(8), Some(16), Some(32), None];
     let mut out = String::new();

@@ -1,6 +1,6 @@
 //! Tier-1 guarantees of the parallel experiment engine: figure output
-//! from the parallel cached path is byte-identical to a serial uncached
-//! run, cached results equal fresh re-runs field for field, and the
+//! from a parallel runner, fresh and then cached, is byte-identical to a
+//! fresh serial run, cached results equal fresh re-runs field for field, and the
 //! observability outputs (Chrome trace, metrics JSON, audit JSONL) are
 //! byte-identical regardless of worker count.
 
@@ -14,12 +14,15 @@ use scc_workloads::{workload, Scale};
 #[test]
 fn fig6_parallel_output_is_byte_identical_to_serial() {
     let scale = Scale::custom(350);
-    let serial = scc_bench::fig6_report_with(&Runner::serial_uncached(), scale);
-    let parallel = scc_bench::fig6_report_with(&Runner::with_jobs(4), scale);
+    let serial = scc_bench::fig6_report(&Runner::with_jobs(1), scale);
+    let runner = Runner::with_jobs(4);
+    let parallel = scc_bench::fig6_report(&runner, scale);
     assert_eq!(serial, parallel, "worker scheduling must not leak into the report");
-    // A second parallel run resolves entirely from the result cache and
-    // must still render the same bytes.
-    let cached = scc_bench::fig6_report_with(&Runner::with_jobs(4), scale);
+    // A second pass on the same runner resolves entirely from its result
+    // cache and must still render the same bytes.
+    let misses = runner.cache_stats().misses;
+    let cached = scc_bench::fig6_report(&runner, scale);
+    assert_eq!(runner.cache_stats().misses, misses, "the second pass is all hits");
     assert_eq!(serial, cached);
 }
 

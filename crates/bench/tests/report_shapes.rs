@@ -2,10 +2,19 @@
 //! appears, numbers parse, and the qualitative orderings the paper
 //! reports survive even short runs.
 
+use scc_sim::Runner;
 use scc_workloads::{all_workloads, Scale};
+use std::sync::OnceLock;
 
 fn tiny() -> Scale {
     Scale::custom(400)
+}
+
+/// One runner for every test in this file, so the reports share their
+/// common runs (fig6's jobs include all of fig7's and fig8's).
+fn runner() -> &'static Runner {
+    static RUNNER: OnceLock<Runner> = OnceLock::new();
+    RUNNER.get_or_init(Runner::new)
 }
 
 fn row<'a>(report: &'a str, bench: &str) -> &'a str {
@@ -17,7 +26,7 @@ fn row<'a>(report: &'a str, bench: &str) -> &'a str {
 
 #[test]
 fn fig6_report_covers_all_benchmarks_and_levels() {
-    let r = scc_bench::fig6_report(tiny());
+    let r = scc_bench::fig6_report(runner(), tiny());
     for w in all_workloads(tiny()) {
         assert!(r.contains(w.name.as_ref()), "{} missing", w.name);
     }
@@ -34,7 +43,7 @@ fn fig6_report_covers_all_benchmarks_and_levels() {
 
 #[test]
 fn fig7_report_shows_opt_share_column() {
-    let r = scc_bench::fig7_report(tiny());
+    let r = scc_bench::fig7_report(runner(), tiny());
     assert!(r.contains("opt-share"));
     let lbm = row(&r, "lbm");
     assert!(lbm.trim_end().ends_with("0%"), "lbm streams nothing from opt: {lbm}");
@@ -42,7 +51,7 @@ fn fig7_report_shows_opt_share_column() {
 
 #[test]
 fn fig8_report_has_geomeans() {
-    let r = scc_bench::fig8_report(tiny());
+    let r = scc_bench::fig8_report(runner(), tiny());
     assert!(r.contains("GEOMEAN(spec)"));
     assert!(r.contains("GEOMEAN(parsec)"));
     assert!(r.contains("GEOMEAN(all)"));
@@ -62,7 +71,7 @@ fn area_power_is_scale_independent() {
 
 #[test]
 fn ablation_vp_forwarding_report_orders_configs() {
-    let r = scc_bench::ablations::ablate_vp_forwarding(tiny());
+    let r = scc_bench::ablations::ablate_vp_forwarding(runner(), tiny());
     assert!(r.contains("baseline+vpfwd"));
     assert!(r.contains("full-scc"));
     // Parse the geomean row: SCC must beat plain forwarding.

@@ -16,6 +16,7 @@
 //! `invariants_failed`, and `failed_control()` equals
 //! `scc_control_squashes`.
 
+use scc_isa::json::escape;
 use scc_isa::trace::{Event, Sink, Transformation};
 use std::collections::BTreeMap;
 use std::io;
@@ -42,19 +43,6 @@ pub struct AuditLog {
     validated: u64,
     failed_data: u64,
     failed_control: u64,
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn opt_id(id: Option<u64>) -> String {
@@ -154,7 +142,7 @@ impl Sink for AuditLog {
                     opt_id(*stream_id),
                     decision.pc,
                     decision.slot,
-                    esc(&decision.op),
+                    escape(&decision.op),
                     decision.action.label(),
                 ));
             }
@@ -286,7 +274,7 @@ mod tests {
 
     #[test]
     fn escapes_json_strings() {
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(esc("x\ny"), "x\\u000ay");
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("x\ny"), "x\\u000ay");
     }
 }

@@ -36,11 +36,13 @@
 #![warn(missing_docs)]
 
 mod asm;
+pub mod crc;
 pub mod disasm;
 pub mod fnv;
 pub mod fusion;
 pub mod fxhash;
 mod interp;
+pub mod json;
 mod macroop;
 mod program;
 pub mod rand_prog;
@@ -50,6 +52,7 @@ pub mod trace;
 mod uop;
 
 pub use asm::{Label, ProgramBuilder};
+pub use crc::crc32c;
 pub use fnv::{fnv1a, Fnv1a};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interp::{ArchSnapshot, Machine, Memory, RunError, RunResult, StepInfo};

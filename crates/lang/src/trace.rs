@@ -32,7 +32,9 @@
 //! [`program_digest`] hashes the canonical *body* only, so the identity
 //! of a trace job is independent of which engine build stamped the file.
 
-use scc_isa::{fnv1a, Cond, MacroInst, MacroKind, Op, Operand, Program, ProgramError, Reg, Uop};
+use scc_isa::{
+    crc32c, fnv1a, Cond, MacroInst, MacroKind, Op, Operand, Program, ProgramError, Reg, Uop,
+};
 use std::fmt;
 
 /// Leading magic of every `.scctrace` file.
@@ -425,22 +427,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-// ----------------------------------------------------------- digests
-
-/// CRC-32C (Castagnoli), bit-identical to `scc_store::crc::crc32c`;
-/// duplicated so the frontend depends only on `scc-isa`.
-fn crc32c(data: &[u8]) -> u32 {
-    const POLY: u32 = 0x82F6_3B78;
-    let mut crc = !0u32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-        }
-    }
-    !crc
-}
-
 // ------------------------------------------------------------- base64
 
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -628,13 +614,6 @@ mod tests {
         assert!(op_from(34).is_err());
         assert_eq!(cond_code(Cond::Eq), 0);
         assert_eq!(cond_code(Cond::Ae), 7);
-    }
-
-    #[test]
-    fn crc32c_matches_store_vectors() {
-        assert_eq!(crc32c(b""), 0x0000_0000);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
     }
 
     #[test]

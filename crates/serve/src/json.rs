@@ -1,12 +1,10 @@
 //! A minimal, dependency-free JSON reader for the wire protocol.
 //!
-//! The emitting side of the repo hand-rolls its JSON (see
-//! `scc_sim::trace_export`); this is the matching consuming side. It
+//! The emitting side of the repo hand-rolls its JSON (escaping strings
+//! with [`scc_isa::json::escape`]); this is the matching consuming side. It
 //! parses one complete document into a [`Json`] tree with a bounded
 //! nesting depth, so a malicious frame can neither overflow the stack
 //! nor smuggle trailing garbage.
-
-use std::fmt::Write as _;
 
 /// Maximum nesting depth a frame may use. Requests are flat objects;
 /// anything deeper is an attack or a bug.
@@ -89,28 +87,6 @@ impl Json {
         match self {
             Json::Num(n) if n.fract() == 0.0 && n.abs() <= 9e15 => Some(*n as i64),
             _ => None,
-        }
-    }
-}
-
-/// Escapes `s` for embedding in a JSON string literal (the same rule
-/// set the emitters in `scc_sim` use).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, s);
-    out
-}
-
-/// [`escape`], appending to `out` instead of allocating.
-pub fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
         }
     }
 }
@@ -291,6 +267,7 @@ fn number(b: &[u8], i: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scc_isa::json::escape;
 
     #[test]
     fn parses_a_request_shaped_object() {

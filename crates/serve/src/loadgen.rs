@@ -36,8 +36,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
-use crate::json::{escape, Json};
+use crate::json::Json;
 use crate::net::Addr;
+use scc_isa::json::escape;
 
 /// `results/BENCH_serve.json` document schema. v3 added `mode`, the
 /// per-phase `cache` object (phase-scoped hit-rate deltas with the

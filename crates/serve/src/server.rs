@@ -2,7 +2,7 @@
 //!
 //! A [`Server`] owns one or more listeners (TCP and/or Unix), a bounded
 //! job queue, and a pool of simulation workers sharing one
-//! [`Runner`] (and therefore the process-wide result cache). Network
+//! [`Runner`], and with it that runner's result cache. Network
 //! I/O is a **single readiness loop**: one thread multiplexes every
 //! connection over `poll(2)` (via the no-libc shim in [`crate::sys`]),
 //! with nonblocking sockets and per-connection state machines
@@ -59,7 +59,7 @@ use crate::protocol::{
 use crate::sys;
 use scc_pipeline::{Metric, MetricValue};
 use scc_sim::runner::{resolve_workload, validate_workload_name, Job, StoreTier};
-use scc_sim::{cache_metrics, Runner, SimOptions};
+use scc_sim::{Runner, SimOptions};
 use scc_workloads::{Scale, Suite, Workload};
 use std::borrow::Cow;
 
@@ -244,7 +244,7 @@ impl Shared {
         ];
         out.push(counter("serve.store.enabled", u64::from(self.store().is_some())));
         out.push(counter("serve.store.degraded", u64::from(self.store_degraded)));
-        out.extend(cache_metrics());
+        out.extend(self.runner.cache_metrics());
         if let Some(tier) = self.store() {
             out.extend(tier.metrics());
         }
@@ -702,7 +702,7 @@ fn handle_frame(shared: &Shared, line: &str, token: u64) -> FrameDisposition {
             None => store_unavailable(shared, proto),
         }),
         Request::Warm => Reply(match shared.store() {
-            Some(tier) => match tier.warm_into_cache() {
+            Some(_) => match shared.runner.warm_from_store() {
                 Ok(n) => ok_response(proto, &format!("\"status\":\"warmed\",\"entries\":{n}")),
                 Err(e) => error_response(
                     proto,

@@ -42,7 +42,7 @@ fn direct_results() -> Vec<std::sync::Arc<scc_sim::SimResult>> {
             let w = resolve_workload("freqmine", Scale::custom(BASE_ITERS + k)).expect("workload");
             let opts = SimOptions::new(OptLevel::Full);
             let job = Job::new(&w, &opts);
-            Runner::new().try_run_one(&job, None, Some("direct"), false).expect("direct run").result
+            Runner::new().run_fresh(&job, None, Some("direct"), false).expect("direct run").result
         })
         .collect()
 }

@@ -39,7 +39,7 @@ fn expected_run_response(id: &str, workload: &str, iters: i64, level: scc_sim::O
     let w = resolve_workload(workload, Scale::custom(iters)).expect("workload");
     let opts = SimOptions::new(level);
     let job = Job::new(&w, &opts);
-    let one = Runner::new().try_run_one(&job, None, Some(id), false).expect("direct run");
+    let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
     run_response(Proto::V1, Some(id), &one.result, None)
 }
 

@@ -82,7 +82,7 @@ fn shape(i: i64) -> (String, String) {
     let w = resolve_workload("freqmine", Scale::custom(iters)).expect("workload");
     let opts = SimOptions::new(OptLevel::Full);
     let job = Job::new(&w, &opts);
-    let one = Runner::new().try_run_one(&job, None, Some(&id), false).expect("direct run");
+    let one = Runner::new().run_fresh(&job, None, Some(&id), false).expect("direct run");
     (req, run_response(Proto::V1, Some(&id), &one.result, None))
 }
 

@@ -3,16 +3,13 @@
 //! execution, graceful degradation on bad store directories, and the
 //! drain-time flush.
 //!
-//! These tests share the process-wide result LRU with each other and
-//! reset it between "restarts", so they serialize on [`SERIAL`]
-//! (integration-test binaries are separate processes, so this does not
-//! interact with any other test file).
+//! Each `Server` owns its runner, so a restarted server starts with an
+//! empty LRU over the same disk, and the tests run concurrently.
 
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
 use scc_serve::json::Json;
@@ -20,21 +17,8 @@ use scc_serve::protocol::{run_response, Proto};
 use scc_serve::server::{Server, ServerConfig, ServerHandle};
 use scc_serve::{Addr, Client};
 use scc_sim::runner::{resolve_workload, Job, StoreTier};
-use scc_sim::{set_cache_capacity, Runner, SimOptions, DEFAULT_CACHE_CAPACITY};
+use scc_sim::{Runner, SimOptions};
 use scc_workloads::Scale;
-
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serialize() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Empties the process-wide LRU, simulating the cold in-memory state of
-/// a freshly started process while keeping the on-disk store.
-fn reset_lru() {
-    set_cache_capacity(0);
-    set_cache_capacity(DEFAULT_CACHE_CAPACITY);
-}
 
 fn temp_store_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -74,12 +58,12 @@ fn run_line(id: &str, iters: i64) -> String {
 }
 
 /// The byte-exact response a warm-started server must produce: direct
-/// *uncached* in-process execution through the same report renderer.
+/// in-process execution on a new runner through the same report
+/// renderer.
 fn expected_run_response(id: &str, iters: i64) -> String {
     let w = resolve_workload("freqmine", Scale::custom(iters)).expect("workload");
     let job = Job::new(&w, &SimOptions::new(scc_sim::OptLevel::Full));
-    let one =
-        Runner::serial_uncached().try_run_one(&job, None, Some(id), false).expect("direct run");
+    let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
     run_response(Proto::V1, Some(id), &one.result, None)
 }
 
@@ -92,7 +76,6 @@ fn stat(j: &Json, name: &str) -> u64 {
 
 #[test]
 fn persist_and_warm_verbs_round_trip_through_the_store() {
-    let _guard = serialize();
     let dir = temp_store_dir("verbs");
     let (addr, handle, join) = start(store_cfg(&dir));
     let mut c = Client::connect(&addr).unwrap();
@@ -129,7 +112,6 @@ fn persist_and_warm_verbs_round_trip_through_the_store() {
 
 #[test]
 fn warm_started_server_is_byte_identical_to_direct_execution() {
-    let _guard = serialize();
     let dir = temp_store_dir("warmstart");
 
     // Cold server: simulate once, response written through to disk.
@@ -139,16 +121,18 @@ fn warm_started_server_is_byte_identical_to_direct_execution() {
     drop(c);
     drain_and_join(&handle, join); // drain flushes the store
 
-    // "Restart": cold in-memory state, same disk.
-    reset_lru();
+    // Restart: a new server, so a cold LRU over the same disk.
     let (addr, handle, join) = start(store_cfg(&dir));
     let mut c = Client::connect(&addr).unwrap();
     let warm = format!("{}\n", c.request(&run_line("ws-1", 4102)).unwrap());
     let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
-    assert!(
-        stat(&s, "runner.store.hits") >= 1,
+    assert_eq!(
+        stat(&s, "runner.store.hits"),
+        1,
         "restarted server must have served from the store: {s:?}"
     );
+    assert_eq!(stat(&s, "runner.cache.hits"), 0, "the restarted LRU starts empty");
+    assert_eq!(stat(&s, "runner.cache.misses"), 1);
     assert_eq!(stat(&s, "runner.store.recovered_records"), 1);
     drain_and_join(&handle, join);
 
@@ -160,7 +144,6 @@ fn warm_started_server_is_byte_identical_to_direct_execution() {
 
 #[test]
 fn unopenable_store_dir_degrades_to_cold_serving() {
-    let _guard = serialize();
     // Point --store-dir at a regular file: the store cannot open, but
     // the server must come up and serve cold.
     let file = temp_store_dir("degraded-file");
@@ -193,7 +176,6 @@ fn unopenable_store_dir_degrades_to_cold_serving() {
 
 #[test]
 fn corrupt_store_contents_serve_cold_not_garbage() {
-    let _guard = serialize();
     // A directory full of junk segment files: recovery discards them
     // all, warm finds nothing, and runs still work.
     let dir = temp_store_dir("degraded-corrupt");
@@ -219,7 +201,6 @@ fn corrupt_store_contents_serve_cold_not_garbage() {
 
 #[test]
 fn persist_and_warm_without_a_store_are_typed_errors() {
-    let _guard = serialize();
     let (addr, handle, join) =
         start(ServerConfig { workers: 1, queue_depth: 4, ..ServerConfig::default() });
     let mut c = Client::connect(&addr).unwrap();
@@ -240,7 +221,6 @@ fn persist_and_warm_without_a_store_are_typed_errors() {
 
 #[test]
 fn drain_flushes_store_writes_before_exit() {
-    let _guard = serialize();
     let dir = temp_store_dir("drainflush");
     let (addr, handle, join) = start(store_cfg(&dir));
     let mut c = Client::connect(&addr).unwrap();

@@ -80,7 +80,7 @@ fn direct_response(blob: &[u8], id: &str, level: OptLevel, proto: Proto) -> Stri
     };
     let opts = SimOptions::new(level);
     let job = Job::new(&w, &opts);
-    let one = Runner::new().try_run_one(&job, None, Some(id), false).expect("direct run");
+    let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
     // `Client::request` strips the NDJSON line delimiter; strip it here
     // too so the comparison covers the full rendered frame body.
     run_response(proto, Some(id), &one.result, None).trim_end_matches('\n').to_string()

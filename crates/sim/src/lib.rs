@@ -37,9 +37,8 @@ use scc_workloads::Workload;
 
 pub use build::{ConfigError, Sim, SimBuilder, SimError};
 pub use runner::{
-    cache_len, cache_metrics, cache_stats, default_jobs, parallel_map, parallel_map_indexed,
-    resolve_workload, scc_jobs, set_cache_capacity, CacheStats, Job, JobError, JobTiming, RunOne,
-    Runner, StoreTier, DEFAULT_CACHE_CAPACITY, LOG_CAP,
+    default_jobs, parallel_map, parallel_map_indexed, resolve_workload, scc_jobs, CacheStats, Job,
+    JobError, RunOne, RunTiming, Runner, StoreTier, DEFAULT_CACHE_CAPACITY, LOG_CAP,
 };
 
 /// The appendix's six experiment levels, cumulative.

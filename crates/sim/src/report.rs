@@ -2,7 +2,9 @@
 //! the figure harnesses print (the moral equivalent of the artifact's
 //! plot scripts).
 
+use crate::runner::RunTiming;
 use crate::SimResult;
+use scc_isa::json::escape;
 
 /// Geometric mean of a sequence of positive ratios.
 ///
@@ -92,45 +94,6 @@ impl Table {
     }
 }
 
-/// Wall-clock accounting for one simulation run, as recorded by the
-/// parallel experiment runner ([`crate::runner`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunTiming {
-    /// Workload name.
-    pub workload: String,
-    /// Optimization-level label of the run.
-    pub level: &'static str,
-    /// Host wall-clock seconds the simulation took (0 for cache hits).
-    pub wall_secs: f64,
-    /// Committed micro-ops the run simulated.
-    pub uops: u64,
-    /// True when the result came from the cross-figure result cache
-    /// instead of a fresh simulation.
-    pub cached: bool,
-}
-
-impl RunTiming {
-    /// Simulated micro-ops per host second (0 for cache hits).
-    pub fn uops_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.uops as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Version of the `BENCH_throughput.json` document layout. Bump when a
 /// field changes meaning or moves, so trajectory tooling comparing
 /// snapshots across commits can refuse apples-to-oranges diffs. Version
@@ -151,15 +114,15 @@ pub fn throughput_json(timings: &[RunTiming], git_rev: &str) -> String {
     let mut out = format!(
         "{{\n  \"schema_version\": {THROUGHPUT_SCHEMA_VERSION},\n  \"git_rev\": \"{}\",\n  \
          \"runs\": [\n",
-        json_escape(git_rev),
+        escape(git_rev),
     );
     for (i, t) in timings.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"level\": \"{}\", \"wall_secs\": {:.6}, \
              \"uops\": {}, \"uops_per_sec\": {:.1}, \"cached\": {}}}{}\n",
-            json_escape(&t.workload),
-            json_escape(t.level),
-            t.wall_secs,
+            escape(&t.workload),
+            escape(t.level),
+            t.wall_secs(),
             t.uops,
             t.uops_per_sec(),
             t.cached,
@@ -177,13 +140,13 @@ pub fn throughput_json(timings: &[RunTiming], git_rev: &str) -> String {
     for (i, name) in names.iter().enumerate() {
         let fresh: Vec<&RunTiming> =
             timings.iter().filter(|t| t.workload == *name && !t.cached).collect();
-        let secs: f64 = fresh.iter().map(|t| t.wall_secs).sum();
+        let secs: f64 = fresh.iter().map(|t| t.wall_secs()).sum();
         let uops: u64 = fresh.iter().map(|t| t.uops).sum();
         let rate = if secs > 0.0 { uops as f64 / secs } else { 0.0 };
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"runs\": {}, \"wall_secs\": {:.6}, \
              \"uops\": {}, \"uops_per_sec\": {:.1}}}{}\n",
-            json_escape(name),
+            escape(name),
             fresh.len(),
             secs,
             uops,
@@ -192,7 +155,7 @@ pub fn throughput_json(timings: &[RunTiming], git_rev: &str) -> String {
         ));
     }
     let fresh: Vec<&RunTiming> = timings.iter().filter(|t| !t.cached).collect();
-    let secs: f64 = fresh.iter().map(|t| t.wall_secs).sum();
+    let secs: f64 = fresh.iter().map(|t| t.wall_secs()).sum();
     let uops: u64 = fresh.iter().map(|t| t.uops).sum();
     let rate = if secs > 0.0 { uops as f64 / secs } else { 0.0 };
     out.push_str(&format!(
@@ -267,30 +230,26 @@ mod tests {
         t.row(&["only-one".into()]);
     }
 
+    /// A log entry spanning `wall_us` microseconds on worker 0.
+    fn timing(workload: &str, level: &'static str, wall_us: u64, uops: u64) -> RunTiming {
+        RunTiming {
+            workload: workload.into(),
+            level,
+            uops,
+            cached: wall_us == 0,
+            worker: 0,
+            start_us: 5,
+            end_us: 5 + wall_us,
+            request: None,
+        }
+    }
+
     #[test]
     fn throughput_json_aggregates_fresh_runs_only() {
         let timings = vec![
-            RunTiming {
-                workload: "gcc".into(),
-                level: "baseline",
-                wall_secs: 2.0,
-                uops: 1_000_000,
-                cached: false,
-            },
-            RunTiming {
-                workload: "gcc".into(),
-                level: "full-scc",
-                wall_secs: 0.0,
-                uops: 900_000,
-                cached: true,
-            },
-            RunTiming {
-                workload: "mcf".into(),
-                level: "baseline",
-                wall_secs: 2.0,
-                uops: 3_000_000,
-                cached: false,
-            },
+            timing("gcc", "baseline", 2_000_000, 1_000_000),
+            timing("gcc", "full-scc", 0, 900_000),
+            timing("mcf", "baseline", 2_000_000, 3_000_000),
         ];
         let j = throughput_json(&timings, "abc123def456");
         assert!(j.starts_with(&format!(
@@ -304,15 +263,10 @@ mod tests {
 
     #[test]
     fn run_timing_rate() {
-        let t = RunTiming {
-            workload: "x".into(),
-            level: "baseline",
-            wall_secs: 2.0,
-            uops: 10,
-            cached: false,
-        };
+        let t = timing("x", "baseline", 2_000_000, 10);
+        assert_eq!(t.wall_secs(), 2.0);
         assert_eq!(t.uops_per_sec(), 5.0);
-        let hit = RunTiming { wall_secs: 0.0, cached: true, ..t };
-        assert_eq!(hit.uops_per_sec(), 0.0);
+        let hit = timing("x", "baseline", 0, 10);
+        assert_eq!((hit.wall_secs(), hit.uops_per_sec()), (0.0, 0.0));
     }
 }

@@ -4,9 +4,11 @@
 //! of work: *simulate one workload under one pipeline configuration*.
 //! The runner fans those jobs out over a scoped worker pool (plain
 //! `std::thread::scope`, no external dependencies) and memoizes each
-//! result in a process-wide content-keyed cache, so e.g. the 19 baseline
-//! runs that Figures 6, 9, 10, and 11 all need are simulated exactly
-//! once per process.
+//! result in a content-keyed LRU that the runner owns, so e.g. the 19
+//! baseline runs that Figures 6, 9, 10, and 11 all need are simulated
+//! exactly once when one runner renders all four. Clones of a runner
+//! share its cache and log; two runners built with [`Runner::new`] share
+//! nothing.
 //!
 //! Determinism: each simulation is single-threaded and fully
 //! deterministic, and results are returned in job order regardless of
@@ -17,14 +19,13 @@
 //! binaries that honor the `SCC_JOBS` convention read the environment
 //! once at their edge (via [`scc_jobs`]) and pass the count in
 //! explicitly with [`Runner::with_jobs`] — the library itself never
-//! consults the environment. Wall-clock throughput of every fresh
-//! simulation is recorded and can be emitted as
-//! `results/BENCH_throughput.json` via [`write_throughput_json`]; the
-//! per-worker schedule is recorded as [`JobTiming`] entries
-//! ([`schedule`]) for the Chrome trace exporter's runner tracks. Both
-//! logs keep their newest [`LOG_CAP`] entries.
+//! consults the environment. Every resolution, fresh or cached, appends
+//! one [`RunTiming`] to the runner's log ([`Runner::timings`]), which
+//! keeps its newest [`LOG_CAP`] entries. The log is both the throughput
+//! record behind `results/BENCH_throughput.json`
+//! ([`Runner::write_throughput_json`]) and the worker schedule behind
+//! the Chrome trace exporter's runner tracks.
 
-use crate::report::RunTiming;
 use crate::{arch_digest, energy_events, persist, OptLevel, SimOptions, SimResult};
 use scc_core::AuditLog;
 use scc_energy::EnergyModel;
@@ -172,7 +173,7 @@ pub enum JobError {
         name: String,
     },
     /// The run was cancelled by its deadline / cancellation check before
-    /// it halted (see [`Runner::try_run_one`]).
+    /// it halted (see [`Runner::run_fresh`]).
     Cancelled {
         /// Workload name.
         workload: String,
@@ -261,28 +262,48 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// One entry of the runner's worker-schedule log: which worker slot ran
-/// which job over which wall-clock window (microseconds since the
-/// process epoch). Cache hits are recorded as zero-length spans on
-/// worker 0.
+/// One entry of a runner's log: one job resolution — a fresh
+/// simulation or a cache hit — with the worker slot and wall-clock
+/// window (microseconds since the process epoch) it occupied. Cache
+/// hits are recorded as zero-length spans on worker 0.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobTiming {
+pub struct RunTiming {
+    /// Workload name.
+    pub workload: String,
+    /// Optimization-level label.
+    pub level: &'static str,
+    /// Committed micro-ops of the result.
+    pub uops: u64,
+    /// True when the result came from the runner's LRU or its store
+    /// tier instead of a fresh simulation.
+    pub cached: bool,
     /// Worker slot (0-based) the job ran on.
     pub worker: usize,
     /// Start, µs since the process epoch.
     pub start_us: u64,
     /// End, µs since the process epoch.
     pub end_us: u64,
-    /// Workload name.
-    pub workload: String,
-    /// Optimization-level label.
-    pub level: &'static str,
-    /// True when the result was resolved from the cross-figure cache.
-    pub cached: bool,
     /// Request ID of the service request that submitted the job, if it
-    /// came through `scc-serve` ([`Runner::try_run_one`]); propagated
-    /// into the exported trace's runner track.
+    /// came through `scc-serve`; propagated into the exported trace's
+    /// runner track.
     pub request: Option<String>,
+}
+
+impl RunTiming {
+    /// Host wall-clock seconds the resolution took (0 for cache hits).
+    pub fn wall_secs(&self) -> f64 {
+        self.end_us.saturating_sub(self.start_us) as f64 / 1e6
+    }
+
+    /// Simulated micro-ops per host second (0 for cache hits).
+    pub fn uops_per_sec(&self) -> f64 {
+        let secs = self.wall_secs();
+        if secs > 0.0 {
+            self.uops as f64 / secs
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Microseconds since the process-wide epoch (first use).
@@ -291,8 +312,25 @@ fn epoch_us() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
 }
 
-/// Locks a mutex, recovering the data of a poisoned one. Every global
-/// in this module is poison-tolerant: a panicking job in one worker (or
+/// Where and when one resolution ran: its worker slot and wall-clock
+/// window, in [`epoch_us`] time.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    worker: usize,
+    start_us: u64,
+    end_us: u64,
+}
+
+impl Span {
+    /// The zero-length span of a cache hit, on worker 0.
+    fn hit() -> Span {
+        let now = epoch_us();
+        Span { worker: 0, start_us: now, end_us: now }
+    }
+}
+
+/// Locks a mutex, recovering the data of a poisoned one. Every lock in
+/// this module is poison-tolerant: a panicking job in one worker (or
 /// one service request) must not wedge every later request in a
 /// long-running process. The protected structures are plain logs and
 /// maps whose invariants hold between every individual mutation, so the
@@ -301,14 +339,14 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Default capacity of the process-wide result cache, in entries. Each
-/// entry holds a full [`SimResult`] (including the final memory image),
-/// so an unbounded cache is not an option for a resident service; the
-/// figure harnesses need well under this many distinct configurations.
+/// Capacity of each runner's result cache, in entries. Each entry holds
+/// a full [`SimResult`] (including the final memory image), so an
+/// unbounded cache is not an option for a resident service; the figure
+/// harnesses need well under this many distinct configurations.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
-/// Point-in-time counters of the cross-figure result cache (see
-/// [`cache_stats`]).
+/// Point-in-time counters of a runner's result cache (see
+/// [`Runner::cache_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Entries currently resident.
@@ -317,7 +355,7 @@ pub struct CacheStats {
     pub capacity: usize,
     /// Lookups that found a resident result.
     pub hits: u64,
-    /// Lookups that missed (and went to simulation).
+    /// Lookups that missed (and went to the store tier or simulation).
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -438,16 +476,10 @@ impl ResultCache {
     }
 }
 
-fn cache() -> &'static Mutex<ResultCache> {
-    static CACHE: OnceLock<Mutex<ResultCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)))
-}
-
-/// Cap on each of the runner's logs: the throughput log ([`timings`]),
-/// the schedule log ([`schedule`]), and each store tier's op log
-/// ([`StoreTier::trace_events`]). A resident service records every hit,
-/// so its logs must not grow with the requests it serves; a figure run
-/// logs a few hundred entries and so keeps all of them.
+/// Cap on each runner's log ([`Runner::timings`]) and each store tier's
+/// op log ([`StoreTier::trace_events`]). A resident service records
+/// every hit, so its logs must not grow with the requests it serves; a
+/// figure run logs a few hundred entries and so keeps all of them.
 pub const LOG_CAP: usize = 16_384;
 
 /// A log that keeps its newest [`LOG_CAP`] entries.
@@ -456,7 +488,7 @@ struct LogRing<T> {
 }
 
 impl<T: Clone> LogRing<T> {
-    const fn new() -> LogRing<T> {
+    fn new() -> LogRing<T> {
         LogRing { entries: VecDeque::new() }
     }
 
@@ -467,52 +499,10 @@ impl<T: Clone> LogRing<T> {
         self.entries.push_back(entry);
     }
 
-    fn extend(&mut self, entries: impl IntoIterator<Item = T>) {
-        for e in entries {
-            self.push(e);
-        }
-    }
-
     /// The entries, oldest first.
     fn snapshot(&self) -> Vec<T> {
         self.entries.iter().cloned().collect()
     }
-}
-
-static TIMING_LOG: Mutex<LogRing<RunTiming>> = Mutex::new(LogRing::new());
-static SCHEDULE_LOG: Mutex<LogRing<JobTiming>> = Mutex::new(LogRing::new());
-
-/// Sets the result cache's capacity (entries), evicting down to the new
-/// bound immediately. The service binary exposes this as
-/// `--cache-capacity`; the default is [`DEFAULT_CACHE_CAPACITY`].
-pub fn set_cache_capacity(capacity: usize) {
-    let mut c = lock_unpoisoned(cache());
-    c.capacity = capacity;
-    c.evict_down_to(capacity);
-}
-
-/// Snapshot of the result cache's occupancy and hit/miss/eviction
-/// counters.
-pub fn cache_stats() -> CacheStats {
-    lock_unpoisoned(cache()).stats()
-}
-
-/// The cache counters as registry metrics (`runner.cache.*`), in the
-/// same [`Metric`] shape as [`scc_pipeline::PipelineStats::metrics`] —
-/// the service's `stats` verb reports these alongside its queue gauges.
-pub fn cache_metrics() -> Vec<Metric> {
-    let s = cache_stats();
-    let counter = |name: &str, v: u64| Metric {
-        name: name.to_string(),
-        value: MetricValue::Counter(v),
-    };
-    vec![
-        counter("runner.cache.len", s.len as u64),
-        counter("runner.cache.capacity", s.capacity as u64),
-        counter("runner.cache.hits", s.hits),
-        counter("runner.cache.misses", s.misses),
-        counter("runner.cache.evictions", s.evictions),
-    ]
 }
 
 /// How often the background compactor wakes to check the segment tiers.
@@ -707,34 +697,8 @@ impl StoreTier {
         Ok(())
     }
 
-    /// Decodes every live record into the process-wide LRU (the
-    /// `scc-serve` `warm` verb). Returns how many entries were promoted;
-    /// undecodable values are counted as `decode_rejects` and skipped.
-    pub fn warm_into_cache(&self) -> std::io::Result<usize> {
-        // Take the snapshot with only the store lock held, then insert
-        // with only the cache lock held — holding both at once would
-        // order store→cache while the runner's read-through path orders
-        // cache→store.
-        let live = lock_unpoisoned(&self.store).snapshot_live()?;
-        let mut promoted = 0usize;
-        for (key, bytes) in live {
-            match persist::decode_result(&bytes) {
-                Some(result) => {
-                    lock_unpoisoned(cache()).insert(&key, Resident::new(Arc::new(result)));
-                    promoted += 1;
-                }
-                None => {
-                    self.decode_rejects.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        self.preloaded.fetch_add(promoted as u64, Ordering::Relaxed);
-        self.log_op("warm", format!("entries={promoted}"), promoted as u64);
-        Ok(promoted)
-    }
-
     /// The tier's counters as registry metrics (`runner.store.*`), in the
-    /// same shape as [`cache_metrics`]; the service's `stats` verb
+    /// same shape as [`Runner::cache_metrics`]; the service's `stats` verb
     /// reports these alongside the LRU's.
     pub fn metrics(&self) -> Vec<Metric> {
         let (stats, recovery, segments) = {
@@ -896,13 +860,42 @@ where
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// The experiment runner: a worker pool plus the shared result cache,
-/// optionally backed by a persistent [`StoreTier`].
-#[derive(Clone, Debug)]
+/// What every clone of one [`Runner`] shares: its result cache and its
+/// log. Neither lock is held while the other is taken, nor across a
+/// store-tier call or a simulation.
+struct RunnerState {
+    cache: Mutex<ResultCache>,
+    log: Mutex<LogRing<RunTiming>>,
+}
+
+/// The experiment runner: a worker pool plus its own result cache and
+/// log, optionally backed by a persistent [`StoreTier`].
+///
+/// Clones share the cache and the log (the service's workers each hold
+/// one); a runner from [`Runner::new`] or [`Runner::with_jobs`] starts
+/// with an empty cache and an empty log.
+///
+/// Every resolution takes one of two paths: a *probe* (LRU, then the
+/// store tier, promoting a store hit into the LRU, then one log entry)
+/// or an execution followed by a *publish* (LRU insert, store
+/// write-through, then one log entry). [`Runner::try_run`] and
+/// [`Runner::try_cached`] probe; [`Runner::try_run`] and
+/// [`Runner::run_fresh`] publish.
+#[derive(Clone)]
 pub struct Runner {
     jobs: usize,
-    use_cache: bool,
     store: Option<Arc<StoreTier>>,
+    state: Arc<RunnerState>,
+}
+
+impl std::fmt::Debug for Runner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Runner")
+            .field("jobs", &self.jobs)
+            .field("store", &self.store)
+            .field("cache", &self.cache_stats())
+            .finish()
+    }
 }
 
 impl Default for Runner {
@@ -912,29 +905,28 @@ impl Default for Runner {
 }
 
 impl Runner {
-    /// The standard runner: one worker per available core, shared cache.
-    /// Environment-free — binaries honoring `SCC_JOBS` resolve it once
-    /// via [`scc_jobs`] and use [`Runner::with_jobs`].
+    /// The standard runner: one worker per available core, an empty
+    /// cache. Environment-free — binaries honoring `SCC_JOBS` resolve it
+    /// once via [`scc_jobs`] and use [`Runner::with_jobs`].
     pub fn new() -> Runner {
-        Runner { jobs: default_jobs(), use_cache: true, store: None }
+        Runner::with_jobs(default_jobs())
     }
 
-    /// A runner with an explicit worker count (still cached).
+    /// A runner with an explicit worker count and an empty cache.
     pub fn with_jobs(jobs: usize) -> Runner {
-        Runner { jobs: jobs.max(1), use_cache: true, store: None }
-    }
-
-    /// A single-threaded runner that bypasses the cache entirely —
-    /// the reference path the determinism tests compare against.
-    pub fn serial_uncached() -> Runner {
-        Runner { jobs: 1, use_cache: false, store: None }
+        Runner {
+            jobs: jobs.max(1),
+            store: None,
+            state: Arc::new(RunnerState {
+                cache: Mutex::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
+                log: Mutex::new(LogRing::new()),
+            }),
+        }
     }
 
     /// Attaches a persistent tier beneath the LRU: fresh results are
     /// written through to it, and an LRU miss probes it before paying
-    /// for a simulation. The tier works with any runner flavor — on an
-    /// uncached runner the store becomes the *only* result cache, which
-    /// is exactly what the store's identity tests exercise.
+    /// for a simulation.
     pub fn with_store(mut self, store: Arc<StoreTier>) -> Runner {
         self.store = Some(store);
         self
@@ -963,8 +955,8 @@ impl Runner {
 
     /// Runs a batch of jobs, returning results in job order.
     ///
-    /// Cache hits are resolved up front; misses are deduplicated by
-    /// content key and simulated on the worker pool. Results land back
+    /// Each distinct key is probed once; misses are simulated on the
+    /// worker pool and published in submission order. Results land back
     /// in their submission slots, so output ordering (and therefore any
     /// report built from it) is independent of worker scheduling.
     ///
@@ -972,173 +964,78 @@ impl Runner {
     /// not panic inside the pool (which would abort every in-flight
     /// worker); the failure propagates here as a [`JobError`] carrying
     /// the workload name and full config key. Successfully simulated
-    /// jobs from the same batch still enter the cache.
+    /// jobs from the same batch are still published.
     pub fn try_run(&self, jobs: &[Job<'_>]) -> Result<Vec<Arc<SimResult>>, JobError> {
         let keys: Vec<String> = jobs.iter().map(Job::key).collect();
         let mut out: Vec<Option<Arc<SimResult>>> = vec![None; jobs.len()];
-        let mut hits: Vec<RunTiming> = Vec::new();
-        let mut sched: Vec<JobTiming> = Vec::new();
 
-        // Resolve cache hits (LRU first, then the persistent tier) and
-        // collect the unique misses.
-        let mut misses: Vec<(usize, &str)> = Vec::new(); // (job index, key)
-        {
-            let mut cached = if self.use_cache { Some(lock_unpoisoned(cache())) } else { None };
-            let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-            for (i, key) in keys.iter().enumerate() {
-                let lru = cached.as_mut().and_then(|c| c.get(key.as_str()));
-                let r = match lru {
-                    Some(r) => Some(Arc::clone(&r.result)),
-                    // Read-through: an LRU miss probes the store tier
-                    // and promotes a hit back into the LRU.
-                    None => match self.store.as_ref().and_then(|t| t.get(key)) {
-                        Some(r) => {
-                            if let Some(c) = cached.as_mut() {
-                                c.insert(key, Resident::new(Arc::clone(&r)));
-                            }
-                            Some(r)
-                        }
-                        None => None,
-                    },
-                };
-                if let Some(r) = r {
-                    hits.push(RunTiming {
-                        workload: r.workload.clone(),
-                        level: r.level.label(),
-                        wall_secs: 0.0,
-                        uops: r.stats.committed_uops,
-                        cached: true,
-                    });
-                    let now = epoch_us();
-                    sched.push(JobTiming {
-                        worker: 0,
-                        start_us: now,
-                        end_us: now,
-                        workload: r.workload.clone(),
-                        level: r.level.label(),
-                        cached: true,
-                        request: None,
-                    });
-                    out[i] = Some(r);
-                } else if seen.insert(key.as_str()) {
-                    misses.push((i, key));
+        // Probe each job and collect the unique misses; a later job with
+        // a missed key waits for that key's simulation.
+        let mut misses: Vec<usize> = Vec::new();
+        let mut simulated_by: HashMap<&str, usize> = HashMap::new();
+        for (i, key) in keys.iter().enumerate() {
+            if simulated_by.contains_key(key.as_str()) {
+                continue;
+            }
+            match self.probe(key, None) {
+                Some(r) => out[i] = Some(Arc::clone(&r.result)),
+                None => {
+                    simulated_by.insert(key.as_str(), i);
+                    misses.push(i);
                 }
             }
         }
 
-        // Fan the misses out over the shared pool; each simulation is
+        // Fan the misses out over the pool; each simulation is
         // independent and results come back in submission order.
-        type Computed = (Result<SimResult, JobError>, f64, usize, u64, u64);
-        let computed: Vec<Computed> = parallel_map_indexed(self.jobs, &misses, |slot, &(ji, _)| {
+        let computed = parallel_map_indexed(self.jobs, &misses, |worker, &i| {
             let start_us = epoch_us();
-            let t0 = Instant::now();
-            let r = execute(&jobs[ji], None, false).map(|(r, _)| r);
-            (r, t0.elapsed().as_secs_f64(), slot, start_us, epoch_us())
+            let r = execute(&jobs[i], None, false).map(|(r, _)| r);
+            (r, Span { worker, start_us, end_us: epoch_us() })
         });
 
-        // Publish results in deterministic (submission) order. The good
-        // results of a batch with one bad job still land in the cache;
-        // the first error (by submission order) propagates after.
+        // Publish in submission order. The good results of a batch with
+        // one bad job are still published; the first error (by
+        // submission order) propagates after.
         let mut first_err: Option<JobError> = None;
-        let mut fresh: Vec<RunTiming> = Vec::new();
-        for (&(ji, _), (res, secs, slot, start_us, end_us)) in misses.iter().zip(computed) {
-            sched.push(JobTiming {
-                worker: slot,
-                start_us,
-                end_us,
-                workload: jobs[ji].workload.name.to_string(),
-                level: jobs[ji].level.label(),
-                cached: false,
-                request: None,
-            });
-            let r = match res {
-                Ok(r) => r,
+        for (&i, (res, span)) in misses.iter().zip(computed) {
+            match res {
+                Ok(r) => out[i] = Some(Arc::clone(&self.publish(&keys[i], r, span, None).result)),
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    continue;
+                    first_err.get_or_insert(e);
                 }
-            };
-            fresh.push(RunTiming {
-                workload: r.workload.clone(),
-                level: r.level.label(),
-                wall_secs: secs,
-                uops: r.stats.committed_uops,
-                cached: false,
-            });
-            let r = Arc::new(r);
-            if self.use_cache {
-                lock_unpoisoned(cache()).insert(&keys[ji], Resident::new(Arc::clone(&r)));
             }
-            if let Some(tier) = &self.store {
-                tier.put(&keys[ji], &r);
-            }
-            out[ji] = Some(r);
-        }
-        if self.use_cache {
-            let mut log = lock_unpoisoned(&TIMING_LOG);
-            log.extend(fresh);
-            log.extend(hits);
-            drop(log);
-            lock_unpoisoned(&SCHEDULE_LOG).extend(sched);
         }
         if let Some(e) = first_err {
             return Err(e);
         }
-
-        // Duplicate keys within the batch resolve off the freshly
-        // computed results.
         for i in 0..out.len() {
             if out[i].is_none() {
-                let donor =
-                    misses.iter().find(|(_, key)| *key == keys[i]).map(|(j, _)| *j);
-                out[i] = donor.and_then(|j| out[j].clone());
+                out[i] = out[simulated_by[keys[i].as_str()]].clone();
             }
         }
-
         Ok(out.into_iter().map(|r| r.expect("every job resolved")).collect())
     }
 
-    /// Runs a single job on the calling thread through the shared result
-    /// cache — the execution path of one `scc-serve` worker. Returns the
-    /// result, whether it was a cache hit, and (when `audit` is set) the
-    /// SCC decision audit log of the run as JSON Lines.
+    /// Executes `job` unconditionally — no probe — and publishes the
+    /// result to the LRU, the store tier and the log: the miss half of
+    /// one `scc-serve` worker's path, after [`Runner::try_cached`]
+    /// missed. The returned digest is memoised on the published entry,
+    /// so later hits on it do not recompute it.
     ///
     /// * `deadline` — wall-clock bound; the cancellation check threaded
     ///   into the simulation loop trips at the first 4096-cycle poll past
     ///   it and the job fails with [`JobError::Cancelled`]. Cancelled
-    ///   runs never enter the cache (their stats are partial), and an
+    ///   runs publish nothing (their stats are partial), and an
     ///   already-expired deadline cancels before simulating a cycle.
-    /// * `request` — request ID recorded on the job's [`JobTiming`]
-    ///   schedule entry, so service requests are attributable in the
-    ///   exported trace's runner track.
-    /// * `audit` — attach an [`AuditLog`] sink to the run. Audit is a
-    ///   property of an *execution*, not a result, so audit requests
-    ///   bypass the cache lookup (they still publish their result for
-    ///   later non-audit requests). The observability layer guarantees an
-    ///   attached sink does not perturb the simulation.
-    pub fn try_run_one(
-        &self,
-        job: &Job<'_>,
-        deadline: Option<Instant>,
-        request: Option<&str>,
-        audit: bool,
-    ) -> Result<RunOne, JobError> {
-        if !audit {
-            if let Some(hit) = self.try_cached(&job.key(), request) {
-                return Ok(hit);
-            }
-        }
-        self.run_fresh(job, deadline, request, audit)
-    }
-
-    /// Executes `job` unconditionally — no tier probe — and publishes
-    /// the result to the LRU and the persistent store: the miss half of
-    /// [`Runner::try_run_one`]. A caller that already probed with
-    /// [`Runner::try_cached`] lands here so the miss is not counted a
-    /// second time. The returned digest is memoised on the published
-    /// entry, so later hits on it do not recompute it.
+    /// * `request` — request ID recorded on the run's log entry, so
+    ///   service requests are attributable in the exported trace's
+    ///   runner track.
+    /// * `audit` — attach an [`AuditLog`] sink to the run and return its
+    ///   decisions as JSON Lines. Audit is a property of an *execution*,
+    ///   not a result, so audit requests skip the probe; the observability
+    ///   layer guarantees an attached sink does not perturb the
+    ///   simulation.
     pub fn run_fresh(
         &self,
         job: &Job<'_>,
@@ -1146,36 +1043,10 @@ impl Runner {
         request: Option<&str>,
         audit: bool,
     ) -> Result<RunOne, JobError> {
-        let key = job.key();
         let start_us = epoch_us();
-        let t0 = Instant::now();
         let (result, audit_jsonl) = execute(job, deadline, audit)?;
-        let wall = t0.elapsed().as_secs_f64();
-        let resident = Resident::new(Arc::new(result));
-        let result = &resident.result;
-        if self.use_cache {
-            lock_unpoisoned(cache()).insert(&key, Arc::clone(&resident));
-            lock_unpoisoned(&TIMING_LOG).push(RunTiming {
-                workload: job.workload.name.to_string(),
-                level: job.level.label(),
-                wall_secs: wall,
-                uops: result.stats.committed_uops,
-                cached: false,
-            });
-            lock_unpoisoned(&SCHEDULE_LOG).push(JobTiming {
-                worker: 0,
-                start_us,
-                end_us: epoch_us(),
-                workload: job.workload.name.to_string(),
-                level: job.level.label(),
-                cached: false,
-                request: request.map(str::to_string),
-            });
-        }
-        if let Some(tier) = &self.store {
-            tier.put(&key, result);
-        }
-        Ok(resident.run_one(false, audit_jsonl))
+        let span = Span { worker: 0, start_us, end_us: epoch_us() };
+        Ok(self.publish(&job.key(), result, span, request).run_one(false, audit_jsonl))
     }
 
     /// Probes the result tiers (LRU, then the persistent store,
@@ -1184,89 +1055,152 @@ impl Runner {
     ///
     /// This is the serving fast path: [`job_key`] is a pure string
     /// computation over the request fields, so a cache hit costs a map
-    /// lookup instead of a program build — the build is orders of
-    /// magnitude more expensive than the lookup and was, before this
-    /// existed, paid on every hit. Hit/miss accounting is identical to
-    /// the probe inside [`Runner::try_run_one`]; `request` lands on the
-    /// hit's schedule entry, as for any other cached resolution.
-    ///
-    /// Callers that miss should execute via [`Runner::run_fresh`], not
-    /// [`Runner::try_run_one`], so the miss is counted exactly once.
+    /// lookup instead of a program build. `request` lands on the hit's
+    /// log entry. Callers that miss execute via [`Runner::run_fresh`],
+    /// so the miss is counted exactly once.
     ///
     /// A hit costs the same whatever the result's size: the digest comes
-    /// from the entry, computed once on its first use, and the hit's two
-    /// log entries go into rings capped at [`LOG_CAP`].
+    /// from the entry, computed once on its first use, and the hit's one
+    /// log entry goes into a ring capped at [`LOG_CAP`].
     pub fn try_cached(&self, key: &str, request: Option<&str>) -> Option<RunOne> {
-        let lru = if self.use_cache { lock_unpoisoned(cache()).get(key) } else { None };
+        Some(self.probe(key, request)?.run_one(true, None))
+    }
+
+    /// Decodes every live record of the attached store tier into this
+    /// runner's LRU (the `scc-serve` `warm` verb). Returns how many
+    /// entries were promoted — 0 without a store; undecodable values are
+    /// counted as the tier's `decode_rejects` and skipped.
+    pub fn warm_from_store(&self) -> std::io::Result<usize> {
+        let Some(tier) = &self.store else { return Ok(0) };
+        let live = lock_unpoisoned(&tier.store).snapshot_live()?;
+        let mut promoted = 0usize;
+        for (key, bytes) in live {
+            match persist::decode_result(&bytes) {
+                Some(result) => {
+                    lock_unpoisoned(&self.state.cache).insert(&key, Resident::new(Arc::new(result)));
+                    promoted += 1;
+                }
+                None => {
+                    tier.decode_rejects.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        tier.preloaded.fetch_add(promoted as u64, Ordering::Relaxed);
+        tier.log_op("warm", format!("entries={promoted}"), promoted as u64);
+        Ok(promoted)
+    }
+
+    /// Snapshot of this runner's cache occupancy and hit/miss/eviction
+    /// counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        lock_unpoisoned(&self.state.cache).stats()
+    }
+
+    /// The cache counters as registry metrics (`runner.cache.*`), in the
+    /// same [`Metric`] shape as [`scc_pipeline::PipelineStats::metrics`] —
+    /// the service's `stats` verb reports these alongside its queue gauges.
+    pub fn cache_metrics(&self) -> Vec<Metric> {
+        let s = self.cache_stats();
+        let counter = |name: &str, v: u64| Metric {
+            name: name.to_string(),
+            value: MetricValue::Counter(v),
+        };
+        vec![
+            counter("runner.cache.len", s.len as u64),
+            counter("runner.cache.capacity", s.capacity as u64),
+            counter("runner.cache.hits", s.hits),
+            counter("runner.cache.misses", s.misses),
+            counter("runner.cache.evictions", s.evictions),
+        ]
+    }
+
+    /// Snapshot of this runner's log, oldest first: the newest
+    /// [`LOG_CAP`] resolutions, fresh and cached. Feed it to
+    /// [`crate::report::throughput_json`] or
+    /// [`crate::trace_export::replay_schedule`].
+    pub fn timings(&self) -> Vec<RunTiming> {
+        lock_unpoisoned(&self.state.log).snapshot()
+    }
+
+    /// Writes this runner's log as throughput JSON (see
+    /// [`crate::report::throughput_json`]) to `path`, creating parent
+    /// directories as needed and tagging the snapshot with the schema
+    /// version and [`git_rev`]. Returns the rendered JSON.
+    pub fn write_throughput_json(&self, path: impl AsRef<Path>) -> std::io::Result<String> {
+        let path = path.as_ref();
+        if let Some(dir) = path.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)?;
+            }
+        }
+        let json = crate::report::throughput_json(&self.timings(), &git_rev());
+        let mut f = std::fs::File::create(path)?;
+        f.write_all(json.as_bytes())?;
+        Ok(json)
+    }
+
+    /// The probe: LRU, then the store tier (promoting a hit into the
+    /// LRU), then one log entry for the hit.
+    fn probe(&self, key: &str, request: Option<&str>) -> Option<Arc<Resident>> {
+        let lru = lock_unpoisoned(&self.state.cache).get(key);
         let resident = match lru {
             Some(r) => r,
             None => {
-                let r = Resident::new(self.store.as_ref().and_then(|t| t.get(key))?);
-                if self.use_cache {
-                    lock_unpoisoned(cache()).insert(key, Arc::clone(&r));
-                }
+                let r = Resident::new(self.store.as_ref()?.get(key)?);
+                lock_unpoisoned(&self.state.cache).insert(key, Arc::clone(&r));
                 r
             }
         };
-        if self.use_cache {
-            let r = &resident.result;
-            let now = epoch_us();
-            lock_unpoisoned(&TIMING_LOG).push(RunTiming {
-                workload: r.workload.clone(),
-                level: r.level.label(),
-                wall_secs: 0.0,
-                uops: r.stats.committed_uops,
-                cached: true,
-            });
-            lock_unpoisoned(&SCHEDULE_LOG).push(JobTiming {
-                worker: 0,
-                start_us: now,
-                end_us: now,
-                workload: r.workload.clone(),
-                level: r.level.label(),
-                cached: true,
-                request: request.map(str::to_string),
-            });
+        self.record(&resident.result, true, Span::hit(), request);
+        Some(resident)
+    }
+
+    /// The publish: LRU insert, store write-through, then one log entry
+    /// for the fresh run.
+    fn publish(
+        &self,
+        key: &str,
+        result: SimResult,
+        span: Span,
+        request: Option<&str>,
+    ) -> Arc<Resident> {
+        let resident = Resident::new(Arc::new(result));
+        lock_unpoisoned(&self.state.cache).insert(key, Arc::clone(&resident));
+        if let Some(tier) = &self.store {
+            tier.put(key, &resident.result);
         }
-        Some(resident.run_one(true, None))
+        self.record(&resident.result, false, span, request);
+        resident
+    }
+
+    fn record(&self, r: &SimResult, cached: bool, span: Span, request: Option<&str>) {
+        let entry = RunTiming {
+            workload: r.workload.clone(),
+            level: r.level.label(),
+            uops: r.stats.committed_uops,
+            cached,
+            worker: span.worker,
+            start_us: span.start_us,
+            end_us: span.end_us,
+            request: request.map(str::to_string),
+        };
+        lock_unpoisoned(&self.state.log).push(entry);
     }
 }
 
-/// Outcome of [`Runner::try_run_one`], [`Runner::run_fresh`] and
-/// [`Runner::try_cached`]: the simulation result plus how it was
-/// produced.
+/// Outcome of [`Runner::run_fresh`] and [`Runner::try_cached`]: the
+/// simulation result plus how it was produced.
 #[derive(Clone, Debug)]
 pub struct RunOne {
     /// The simulation result (shared with the cache).
     pub result: Arc<SimResult>,
     /// [`arch_digest`] of `result`, memoised on its cache entry.
     pub digest: u64,
-    /// True when the result came from the cross-figure cache.
+    /// True when the result came from the runner's cache or store tier.
     pub cached: bool,
     /// The run's SCC decision audit log (JSON Lines), present only when
     /// auditing was requested (audited runs are always fresh).
     pub audit_jsonl: Option<String>,
-}
-
-/// Snapshot of the process-wide throughput log (one entry per run the
-/// cached runners performed or resolved from cache), oldest first: the
-/// newest [`LOG_CAP`] entries.
-pub fn timings() -> Vec<RunTiming> {
-    lock_unpoisoned(&TIMING_LOG).snapshot()
-}
-
-/// Number of results currently in the cross-figure cache.
-pub fn cache_len() -> usize {
-    lock_unpoisoned(cache()).map.len()
-}
-
-/// Snapshot of the process-wide worker-schedule log (one [`JobTiming`]
-/// per job the cached runners executed or resolved), oldest first: the
-/// newest [`LOG_CAP`] entries. Feed it to
-/// [`crate::trace_export::replay_schedule`] to render the runner tracks
-/// of a Chrome trace.
-pub fn schedule() -> Vec<JobTiming> {
-    lock_unpoisoned(&SCHEDULE_LOG).snapshot()
 }
 
 /// The source revision to tag throughput snapshots with: the
@@ -1289,23 +1223,6 @@ pub fn git_rev() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Writes the throughput log as JSON (see
-/// [`crate::report::throughput_json`]) to `path`, creating parent
-/// directories as needed and tagging the snapshot with the schema
-/// version and [`git_rev`]. Returns the rendered JSON.
-pub fn write_throughput_json(path: impl AsRef<Path>) -> std::io::Result<String> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let json = crate::report::throughput_json(&timings(), &git_rev());
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(json.as_bytes())?;
-    Ok(json)
 }
 
 #[cfg(test)]
@@ -1340,9 +1257,13 @@ mod tests {
         let w = workload("exchange", scale).unwrap();
         let opts = SimOptions::new(OptLevel::Baseline);
         let jobs = vec![Job::new(&w, &opts), Job::new(&w, &opts)];
-        let rs = Runner::serial_uncached().run(&jobs);
+        let runner = Runner::with_jobs(1);
+        let rs = runner.run(&jobs);
         assert_eq!(rs[0].stats, rs[1].stats);
         assert!(Arc::ptr_eq(&rs[0], &rs[1]), "one simulation serves both slots");
+        let s = runner.cache_stats();
+        assert_eq!((s.len, s.hits, s.misses), (1, 0, 1), "the key is probed once");
+        assert_eq!(runner.timings().len(), 1, "one fresh run logged");
     }
 
     #[test]
@@ -1354,6 +1275,8 @@ mod tests {
         let first = runner.run(&[Job::new(&w, &opts)]);
         let second = runner.run(&[Job::new(&w, &opts)]);
         assert!(Arc::ptr_eq(&first[0], &second[0]), "second run must be a cache hit");
+        let s = runner.cache_stats();
+        assert_eq!((s.len, s.hits, s.misses, s.evictions), (1, 1, 1, 0));
         let fresh = crate::run_workload(&w, &opts);
         assert_eq!(first[0].stats, fresh.stats);
         assert_eq!(first[0].snapshot, fresh.snapshot);
@@ -1376,8 +1299,8 @@ mod tests {
                 })
                 .collect()
         }
-        let serial = Runner::serial_uncached().run(&build(&ws));
-        let parallel = Runner::serial_uncached().run(&build(&ws)); // uncached: fresh again
+        let serial = Runner::with_jobs(1).run(&build(&ws));
+        let parallel = Runner::with_jobs(1).run(&build(&ws)); // a new runner: fresh again
         let wide = Runner::with_jobs(4).run(&build(&ws));
         for ((a, b), c) in serial.iter().zip(&parallel).zip(&wide) {
             assert_eq!(a.stats, b.stats);
@@ -1486,6 +1409,10 @@ mod tests {
         // cached; a retry without the bad job succeeds immediately.
         let again = runner.try_run(&[good]).expect("good job survives the bad batch");
         assert_eq!(again[0].workload, "freqmine");
+        assert_eq!(runner.cache_stats().hits, 1, "the retry is a hit");
+        let log = runner.timings();
+        assert_eq!(log.len(), 2, "failed runs are not logged");
+        assert!(log.iter().all(|t| t.workload == "freqmine"));
     }
 
     #[test]
@@ -1505,13 +1432,11 @@ mod tests {
         let runner = Runner::with_jobs(1);
         runner.run(&[Job::new(&w, &opts)]);
         runner.run(&[Job::new(&w, &opts)]);
-        let log = timings();
-        let mine: Vec<_> = log
-            .iter()
-            .filter(|t| t.workload == "leela" && t.uops > 0)
-            .collect();
-        assert!(mine.iter().any(|t| !t.cached), "fresh run recorded");
-        assert!(mine.iter().any(|t| t.cached), "cache hit recorded");
+        let log = runner.timings();
+        assert_eq!(log.len(), 2);
+        assert!(log.iter().all(|t| t.workload == "leela" && t.uops > 0));
+        assert!(!log[0].cached, "fresh run recorded");
+        assert!(log[1].cached, "cache hit recorded");
     }
 
     #[test]
@@ -1522,13 +1447,13 @@ mod tests {
         let runner = Runner::with_jobs(2);
         runner.run(&[Job::new(&w, &opts)]);
         runner.run(&[Job::new(&w, &opts)]); // cache hit
-        let log = schedule();
-        let mine: Vec<_> = log.iter().filter(|t| t.workload == "vips").collect();
-        let fresh = mine.iter().find(|t| !t.cached).expect("fresh run scheduled");
-        assert!(fresh.end_us >= fresh.start_us);
+        let log = runner.timings();
+        let [fresh, hit] = &log[..] else { panic!("one fresh run, one hit: {log:?}") };
+        assert!(!fresh.cached && fresh.end_us >= fresh.start_us);
+        assert!(fresh.worker < 2);
         assert_eq!(fresh.level, "baseline");
-        let hit = mine.iter().find(|t| t.cached).expect("cache hit scheduled");
-        assert_eq!(hit.start_us, hit.end_us, "hits are zero-length spans");
+        assert!(hit.cached);
+        assert_eq!((hit.worker, hit.start_us), (0, hit.end_us), "hits are zero-length spans");
     }
 
     #[test]
@@ -1644,7 +1569,7 @@ mod tests {
                         model.insert(&key);
                     }
                     _ => {
-                        // A `set_cache_capacity` shrink (or regrow).
+                        // A capacity shrink (or regrow).
                         let to = (rng.next_u64() % (capacity as u64 + 1)) as usize;
                         cache.capacity = to;
                         cache.evict_down_to(to);
@@ -1702,22 +1627,53 @@ mod tests {
     }
 
     #[test]
-    fn global_cache_survives_a_poisoning_panic() {
-        // A panicking thread holding the cache lock poisons the mutex; a
+    fn runner_state_survives_a_poisoning_panic() {
+        // A panicking thread holding the runner's locks poisons them; a
         // long-running service must shrug that off, not wedge forever.
-        let _ = std::thread::spawn(|| {
-            let _guard = cache().lock().unwrap_or_else(|p| p.into_inner());
-            panic!("poison the cache mutex");
+        let runner = Runner::with_jobs(1);
+        let state = Arc::clone(&runner.state);
+        let _ = std::thread::spawn(move || {
+            let _cache = state.cache.lock().unwrap_or_else(|p| p.into_inner());
+            let _log = state.log.lock().unwrap_or_else(|p| p.into_inner());
+            panic!("poison the runner's locks");
         })
         .join();
-        let _ = cache_len(); // must not panic
-        let _ = cache_stats();
+        assert!(runner.state.cache.is_poisoned() && runner.state.log.is_poisoned());
+        assert_eq!(runner.cache_stats().len, 0); // must not panic
+        assert!(runner.timings().is_empty());
         let scale = Scale::custom(280);
         let w = workload("exchange", scale).unwrap();
-        let r = Runner::with_jobs(1)
+        let r = runner
             .try_run(&[Job::new(&w, &SimOptions::new(OptLevel::Baseline))])
             .expect("runner works after a poisoning panic");
         assert_eq!(r[0].workload, "exchange");
+        assert_eq!(runner.cache_stats().len, 1);
+        assert_eq!(runner.timings().len(), 1);
+    }
+
+    #[test]
+    fn runners_share_results_only_through_clones() {
+        let w = workload("exchange", Scale::custom(285)).unwrap();
+        let job = Job::new(&w, &SimOptions::new(OptLevel::Baseline));
+        let key = job.key();
+        let first = Runner::with_jobs(1);
+        let computed = first.run(&[job]);
+
+        // A second runner has its own, empty cache and log.
+        let second = Runner::with_jobs(1);
+        assert!(second.try_cached(&key, None).is_none(), "a new runner starts cold");
+        let cold = CacheStats { capacity: DEFAULT_CACHE_CAPACITY, misses: 1, ..Default::default() };
+        assert_eq!(second.cache_stats(), cold);
+        assert!(second.timings().is_empty());
+
+        // A clone shares the first runner's cache and log.
+        let clone = first.clone();
+        let hit = clone.try_cached(&key, None).expect("a clone shares the cache");
+        assert!(hit.cached && Arc::ptr_eq(&hit.result, &computed[0]));
+        let warm = CacheStats { len: 1, hits: 1, ..cold };
+        assert_eq!(first.cache_stats(), warm);
+        let log = first.timings();
+        assert_eq!(log.iter().map(|t| t.cached).collect::<Vec<_>>(), [false, true]);
     }
 
     #[test]
@@ -1728,26 +1684,30 @@ mod tests {
         assert!(resolve_workload("freqmine", Scale::custom(100)).is_ok());
     }
 
+    /// One `scc-serve` worker's path: a plain request probes by key
+    /// first; a miss, or an audit request, simulates.
+    fn try_run_one(runner: &Runner, job: &Job<'_>, request: Option<&str>, audit: bool) -> RunOne {
+        let hit = if audit { None } else { runner.try_cached(&job.key(), request) };
+        hit.unwrap_or_else(|| runner.run_fresh(job, None, request, audit).unwrap())
+    }
+
     #[test]
     fn try_run_one_hits_cache_and_records_request_ids() {
         let scale = Scale::custom(290);
         let w = workload("leela", scale).unwrap();
         let job = Job::new(&w, &SimOptions::new(OptLevel::Full));
         let runner = Runner::with_jobs(1);
-        let first = runner.try_run_one(&job, None, Some("req-1"), false).unwrap();
+        let first = try_run_one(&runner, &job, Some("req-1"), false);
         assert!(!first.cached);
-        let second = runner.try_run_one(&job, None, Some("req-2"), false).unwrap();
+        let second = try_run_one(&runner, &job, Some("req-2"), false);
         assert!(second.cached, "second identical request is a hit");
         assert!(Arc::ptr_eq(&first.result, &second.result));
-        let sched = schedule();
-        for id in ["req-1", "req-2"] {
-            assert!(
-                sched.iter().any(|t| t.request.as_deref() == Some(id)),
-                "request {id} attributed in the schedule log"
-            );
-        }
         // And batch jobs remain unattributed.
-        assert!(sched.iter().any(|t| t.request.is_none()));
+        runner.run(&[job]);
+        let log: Vec<_> =
+            runner.timings().into_iter().map(|t| (t.request, t.cached)).collect();
+        let attributed = |id: &str, cached| (Some(id.to_string()), cached);
+        assert_eq!(log, [attributed("req-1", false), attributed("req-2", true), (None, true)]);
     }
 
     #[test]
@@ -1758,19 +1718,20 @@ mod tests {
         let runner = Runner::with_jobs(1);
         let key = job.key();
         assert!(runner.try_cached(&key, None).is_none(), "cold key must miss");
-        let before = cache_stats();
         let fresh = runner.run_fresh(&job, None, Some("req-f"), false).unwrap();
         assert!(!fresh.cached);
+        let s = runner.cache_stats();
+        assert_eq!((s.len, s.hits, s.misses), (1, 0, 1), "run_fresh does not probe");
         // The probe resolves by key alone — no Workload in sight — and
-        // the hit is counted like any other cached resolution. (Counter
-        // asserts are lower bounds: the cache and its stats are
-        // process-global and other tests run concurrently.)
+        // the hit is counted like any other cached resolution.
         let hit = runner.try_cached(&key, Some("req-k")).unwrap();
         assert!(Arc::ptr_eq(&fresh.result, &hit.result));
         assert_eq!(hit.digest, arch_digest(&hit.result));
         assert_eq!(hit.digest, fresh.digest, "the hit reuses the published digest");
-        assert!(cache_stats().hits > before.hits);
-        assert!(schedule().iter().any(|t| t.request.as_deref() == Some("req-k") && t.cached));
+        let s = runner.cache_stats();
+        assert_eq!((s.len, s.hits, s.misses), (1, 1, 1));
+        let last = runner.timings().pop().unwrap();
+        assert_eq!((last.request.as_deref(), last.cached), (Some("req-k"), true));
     }
 
     #[test]
@@ -1781,7 +1742,7 @@ mod tests {
         let runner = Runner::with_jobs(1);
         // An already-expired deadline cancels before the first cycle.
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = runner.try_run_one(&job, Some(past), Some("req-dead"), false).unwrap_err();
+        let err = runner.run_fresh(&job, Some(past), Some("req-dead"), false).unwrap_err();
         match &err {
             JobError::Cancelled { workload, cycles_run, .. } => {
                 assert_eq!(workload, "gcc");
@@ -1791,15 +1752,16 @@ mod tests {
         }
         assert_eq!(err.kind(), "deadline_exceeded");
         // The cancelled run left nothing behind: the retry is fresh.
-        let ok = runner.try_run_one(&job, None, Some("req-retry"), false).unwrap();
-        assert!(!ok.cached, "a cancelled run must not enter the cache");
+        assert_eq!(runner.cache_stats().len, 0, "a cancelled run must not enter the cache");
+        assert!(runner.timings().is_empty(), "nor the log");
+        let ok = try_run_one(&runner, &job, Some("req-retry"), false);
+        assert!(!ok.cached);
         assert!(ok.result.halted);
     }
 
-    /// A unique, initially-absent store directory. Tests here use
-    /// *uncached* runners with a store attached, so the process-global
-    /// LRU (shared with every other test in this binary) is never
-    /// touched and the store tier is the only cache in play.
+    /// A unique, initially-absent store directory. Tests here probe a
+    /// tier through a new runner, whose LRU starts empty, so the store
+    /// is the only cache in play.
     fn temp_store_dir(tag: &str) -> std::path::PathBuf {
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
@@ -1816,11 +1778,12 @@ mod tests {
         let job = Job::new(&w, &SimOptions::new(OptLevel::Full));
 
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-test").unwrap();
-        let runner = Runner::serial_uncached().with_store(Arc::clone(&tier));
-        let first = runner.try_run_one(&job, None, None, false).unwrap();
+        let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
+        let first = try_run_one(&runner, &job, None, false);
         assert!(!first.cached, "empty store: the first run simulates");
-        let second = runner.try_run_one(&job, None, None, false).unwrap();
-        assert!(second.cached, "second run is served from the persistent tier");
+        let other = Runner::with_jobs(1).with_store(Arc::clone(&tier));
+        let second = try_run_one(&other, &job, None, false);
+        assert!(second.cached, "a second runner is served from the persistent tier");
         assert_eq!(first.result.stats, second.result.stats);
         assert_eq!(first.result.snapshot, second.result.snapshot);
         assert_eq!(
@@ -1859,8 +1822,8 @@ mod tests {
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-test").unwrap();
         assert_eq!(tier.recovery().records_indexed, 1);
         assert_eq!(tier.recovery().invalidated_segments(), 0);
-        let runner = Runner::serial_uncached().with_store(Arc::clone(&tier));
-        let warm = runner.try_run_one(&job, None, None, false).unwrap();
+        let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
+        let warm = try_run_one(&runner, &job, None, false);
         assert!(warm.cached, "results survive a restart");
         assert_eq!(warm.result.stats, first.result.stats);
         assert_eq!(warm.result.snapshot, first.result.snapshot);
@@ -1874,8 +1837,8 @@ mod tests {
         let job = Job::new(&w, &SimOptions::new(OptLevel::Baseline));
 
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-a").unwrap();
-        let runner = Runner::serial_uncached().with_store(Arc::clone(&tier));
-        runner.try_run_one(&job, None, None, false).unwrap();
+        let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
+        try_run_one(&runner, &job, None, false);
         tier.flush().unwrap();
         drop(runner);
         drop(tier);
@@ -1885,8 +1848,8 @@ mod tests {
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-b").unwrap();
         assert!(tier.recovery().version_mismatch_segments >= 1);
         assert_eq!(tier.recovery().records_indexed, 0);
-        let runner = Runner::serial_uncached().with_store(Arc::clone(&tier));
-        let rerun = runner.try_run_one(&job, None, None, false).unwrap();
+        let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
+        let rerun = try_run_one(&runner, &job, None, false);
         assert!(!rerun.cached, "a stale engine revision must not serve warm hits");
         tier.flush().unwrap();
         drop(runner);
@@ -1896,8 +1859,8 @@ mod tests {
         let tier =
             StoreTier::open_with(&dir, persist::SCHEMA_VERSION + 1, "rev-b").unwrap();
         assert!(tier.recovery().version_mismatch_segments >= 1);
-        let runner = Runner::serial_uncached().with_store(Arc::clone(&tier));
-        let rerun = runner.try_run_one(&job, None, None, false).unwrap();
+        let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
+        let rerun = try_run_one(&runner, &job, None, false);
         assert!(!rerun.cached, "a schema bump must not serve warm hits");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1912,14 +1875,14 @@ mod tests {
             ws.iter().map(|w| Job::new(w, &SimOptions::new(OptLevel::Baseline))).collect();
 
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-test").unwrap();
-        let runner = Runner::serial_uncached().with_store(Arc::clone(&tier));
+        let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
         let cold = runner.run(&jobs);
         assert_eq!(tier.store_stats().puts, 2, "both batch results written through");
         drop(runner);
         drop(tier);
 
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-test").unwrap();
-        let runner = Runner::serial_uncached().with_store(Arc::clone(&tier));
+        let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
         let warm = runner.run(&jobs);
         assert_eq!(tier.store_stats().puts, 0, "warm batch simulates nothing");
         for (a, b) in cold.iter().zip(&warm) {
@@ -1947,8 +1910,8 @@ mod tests {
             raw.sync().unwrap();
         }
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-test").unwrap();
-        let runner = Runner::serial_uncached().with_store(Arc::clone(&tier));
-        let r = runner.try_run_one(&job, None, None, false).unwrap();
+        let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
+        let r = try_run_one(&runner, &job, None, false);
         assert!(!r.cached, "an undecodable value is a miss, not data");
         assert!(r.result.halted);
         let rejects = tier
@@ -1966,9 +1929,10 @@ mod tests {
         let w = workload("freqmine", scale).unwrap();
         let job = Job::new(&w, &SimOptions::new(OptLevel::Full));
         let runner = Runner::with_jobs(1);
-        let plain = runner.try_run_one(&job, None, None, false).unwrap();
-        let audited = runner.try_run_one(&job, None, None, true).unwrap();
+        let plain = try_run_one(&runner, &job, None, false);
+        let audited = try_run_one(&runner, &job, None, true);
         assert!(!audited.cached, "audit runs bypass the cache lookup");
+        assert!(plain.audit_jsonl.is_none());
         let jsonl = audited.audit_jsonl.expect("audit payload present");
         assert!(!jsonl.is_empty(), "full-scc run produces audit decisions");
         assert_eq!(

@@ -17,7 +17,8 @@
 //!   per worker slot (inherently nondeterministic; excluded from the
 //!   byte-identity determinism tests).
 
-use crate::runner::JobTiming;
+use crate::runner::RunTiming;
+use scc_isa::json::escape;
 use scc_isa::trace::{Event, Sink};
 use scc_isa::Addr;
 use scc_pipeline::{MetricValue, PipelineStats};
@@ -36,19 +37,6 @@ const TID_SQUASH: u32 = 5;
 /// trace smoke test greps for.
 pub const TRACK_NAMES: [&str; 5] =
     ["fetch mix", "scc unit", "streams", "uop cache", "squash windows"];
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn hex(a: Addr) -> String {
     format!("\"{a:#x}\"")
@@ -89,7 +77,7 @@ impl ChromeTraceSink {
         self.events.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{key}\",\
              \"args\":{{\"name\":\"{}\"}}}}",
-            esc(value)
+            escape(value)
         ));
     }
 
@@ -100,7 +88,7 @@ impl ChromeTraceSink {
         self.events.push(format!(
             "{{\"ph\":\"X\",\"pid\":{PID_PIPELINE},\"tid\":{tid},\"name\":\"{}\",\
              \"ts\":{ts},\"dur\":{dur},\"args\":{{{args}}}}}",
-            esc(name)
+            escape(name)
         ));
     }
 
@@ -109,7 +97,7 @@ impl ChromeTraceSink {
         self.events.push(format!(
             "{{\"ph\":\"i\",\"pid\":{PID_PIPELINE},\"tid\":{tid},\"name\":\"{}\",\
              \"ts\":{ts},\"s\":\"t\",\"args\":{{{args}}}}}",
-            esc(name)
+            escape(name)
         ));
     }
 
@@ -272,7 +260,7 @@ impl Sink for ChromeTraceSink {
                 self.events.push(format!(
                     "{{\"ph\":\"B\",\"pid\":{PID_RUNNER},\"tid\":{tid},\"name\":\"{}\",\
                      \"ts\":{ts_us},\"args\":{{\"level\":\"{level}\"}}}}",
-                    esc(workload)
+                    escape(workload)
                 ));
             }
             Event::JobFinished { worker, ts_us, workload, level, cached } => {
@@ -280,7 +268,7 @@ impl Sink for ChromeTraceSink {
                 self.events.push(format!(
                     "{{\"ph\":\"E\",\"pid\":{PID_RUNNER},\"tid\":{tid},\"name\":\"{}\",\
                      \"ts\":{ts_us},\"args\":{{\"level\":\"{level}\",\"cached\":{cached}}}}}",
-                    esc(workload)
+                    escape(workload)
                 ));
             }
             Event::StoreOp { ts_us, op, detail, count } => {
@@ -288,18 +276,18 @@ impl Sink for ChromeTraceSink {
                 self.events.push(format!(
                     "{{\"ph\":\"i\",\"pid\":{PID_RUNNER},\"tid\":{tid},\"name\":\"{}\",\
                      \"ts\":{ts_us},\"s\":\"t\",\"args\":{{\"detail\":\"{}\",\"count\":{count}}}}}",
-                    esc(op),
-                    esc(detail)
+                    escape(op),
+                    escape(detail)
                 ));
             }
         }
     }
 }
 
-/// Replays the runner's recorded job schedule (see
-/// [`crate::runner::schedule`]) into a sink as `JobStarted`/`JobFinished`
-/// pairs — how the runner's worker tracks land in an exported trace.
-pub fn replay_schedule(sink: &mut dyn Sink, schedule: &[JobTiming]) {
+/// Replays a runner's log (see [`crate::Runner::timings`]) into a sink
+/// as `JobStarted`/`JobFinished` pairs — how the runner's worker tracks
+/// land in an exported trace.
+pub fn replay_schedule(sink: &mut dyn Sink, schedule: &[RunTiming]) {
     for t in schedule {
         // Service jobs carry their request ID into the runner track's
         // span name, so a request is findable in the exported trace.
@@ -344,8 +332,8 @@ pub fn metrics_json(workload: &str, level: &str, stats: &PipelineStats) -> Strin
     let metrics = stats.metrics();
     let mut out = String::with_capacity(metrics.len() * 32);
     out.push_str("{\n");
-    out.push_str(&format!("  \"workload\": \"{}\",\n", esc(workload)));
-    out.push_str(&format!("  \"level\": \"{}\",\n", esc(level)));
+    out.push_str(&format!("  \"workload\": \"{}\",\n", escape(workload)));
+    out.push_str(&format!("  \"level\": \"{}\",\n", escape(level)));
     out.push_str("  \"metrics\": {\n");
     for (i, m) in metrics.iter().enumerate() {
         let value = match m.value {
@@ -354,7 +342,7 @@ pub fn metrics_json(workload: &str, level: &str, stats: &PipelineStats) -> Strin
             MetricValue::Gauge(_) => "0".to_string(),
         };
         let sep = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("    \"{}\": {value}{sep}\n", esc(&m.name)));
+        out.push_str(&format!("    \"{}\": {value}{sep}\n", escape(&m.name)));
     }
     out.push_str("  }\n}\n");
     out
@@ -684,22 +672,24 @@ mod tests {
     fn schedule_replay_produces_balanced_spans() {
         let mut sink = ChromeTraceSink::new();
         let schedule = vec![
-            JobTiming {
+            RunTiming {
+                workload: "leela".into(),
+                level: "baseline",
+                uops: 900,
+                cached: false,
                 worker: 2,
                 start_us: 10,
                 end_us: 40,
-                workload: "leela".into(),
-                level: "baseline",
-                cached: false,
                 request: None,
             },
-            JobTiming {
+            RunTiming {
+                workload: "leela".into(),
+                level: "baseline",
+                uops: 900,
+                cached: true,
                 worker: 0,
                 start_us: 12,
                 end_us: 12,
-                workload: "leela".into(),
-                level: "baseline",
-                cached: true,
                 request: Some("req-42".into()),
             },
         ];

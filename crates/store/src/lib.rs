@@ -8,8 +8,6 @@
 //!
 //! Layers, bottom up:
 //!
-//! - [`crc`]: CRC-32C, the digest guarding every record, segment
-//!   header, and index sidecar.
 //! - [`record`]: the record wire format and its defensive parser,
 //!   which classifies damage as *corrupt* (skip one record) or *torn*
 //!   (truncate the tail).
@@ -23,12 +21,13 @@
 //!   (tmp → fsync → rename).
 //!
 //! The crate is std-only — its one dependency, `scc-isa`, supplies the
-//! FNV-1a key hash and has no dependencies itself — and knows nothing
+//! FNV-1a key hash and the CRC-32C checksum guarding every record,
+//! segment header, and index sidecar, and has no dependencies itself —
+//! and knows nothing
 //! about the simulator; values are opaque bytes. `scc-sim` layers its result codec and the
 //! runner's persistent tier on top.
 
 pub mod compact;
-pub mod crc;
 pub mod record;
 pub mod segment;
 pub mod store;

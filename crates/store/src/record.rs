@@ -25,7 +25,7 @@
 //! record and keep scanning). That classification is what the recovery
 //! torture suite exercises at every byte offset and bit position.
 
-use crate::crc::crc32c;
+use scc_isa::crc32c;
 
 /// First byte of every record; a cheap resync check when skipping a
 /// corrupt record (if the bytes after the skip don't start with the

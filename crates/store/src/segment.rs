@@ -24,8 +24,8 @@
 //! data scan if missing or corrupt, so a flipped bit in the index can
 //! never redirect a lookup.
 
-use crate::crc::crc32c;
 use crate::record::{self, OwnedRecord, Parse};
+use scc_isa::crc32c;
 
 /// Leading magic of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"SCCSTOR1";
