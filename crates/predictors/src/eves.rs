@@ -15,8 +15,7 @@
 //! paper's sensitivity study actually exercises.
 
 use crate::value::{ValuePrediction, ValuePredictor};
-use scc_isa::Addr;
-use std::collections::HashMap;
+use scc_isa::{Addr, FxHashMap};
 
 #[derive(Clone, Copy, Debug)]
 struct EStrideEntry {
@@ -31,7 +30,7 @@ struct ContextEntry {
     history: [i64; 4],
     filled: u8,
     /// Pattern table: hash of value history -> (predicted value, conf).
-    patterns: HashMap<u64, (i64, u8)>,
+    patterns: FxHashMap<u64, (i64, u8)>,
 }
 
 impl ContextEntry {
@@ -53,8 +52,8 @@ impl ContextEntry {
 /// The EVES value predictor.
 #[derive(Clone, Debug)]
 pub struct Eves {
-    stride: HashMap<Addr, EStrideEntry>,
-    context: HashMap<Addr, ContextEntry>,
+    stride: FxHashMap<Addr, EStrideEntry>,
+    context: FxHashMap<Addr, ContextEntry>,
     capacity: usize,
     /// Confidence lost on a stride mispredict (EVES is conservative).
     mispredict_penalty: u8,
@@ -65,8 +64,8 @@ impl Eves {
     /// per component.
     pub fn new(capacity: usize) -> Eves {
         Eves {
-            stride: HashMap::new(),
-            context: HashMap::new(),
+            stride: FxHashMap::default(),
+            context: FxHashMap::default(),
             capacity: capacity.max(16),
             mispredict_penalty: 8,
         }
@@ -77,10 +76,11 @@ impl Eves {
         Eves::new(8192)
     }
 
-    fn evict_if_full<V>(map: &mut HashMap<Addr, V>, capacity: usize, pc: Addr) {
+    fn evict_if_full<V>(map: &mut FxHashMap<Addr, V>, capacity: usize, pc: Addr) {
         if map.len() >= capacity && !map.contains_key(&pc) {
-            // Random-ish eviction: drop an arbitrary entry. Hardware would
-            // use set-indexed replacement; the aggregate effect (bounded
+            // Arbitrary but deterministic eviction: the first entry in the
+            // fixed-seed map's iteration order. Hardware would use
+            // set-indexed replacement; the aggregate effect (bounded
             // capacity, occasional loss of a tracked PC) is the same.
             if let Some(&k) = map.keys().next() {
                 map.remove(&k);

@@ -9,8 +9,7 @@
 //! exactly the aggressive/conservative contrast Figure 9 sweeps.
 
 use crate::value::{ValuePrediction, ValuePredictor};
-use scc_isa::Addr;
-use std::collections::HashMap;
+use scc_isa::{Addr, FxHashMap};
 
 const MAX_PERIOD: usize = 3;
 
@@ -52,14 +51,14 @@ impl H3Entry {
 /// The H3VP value predictor.
 #[derive(Clone, Debug)]
 pub struct H3vp {
-    table: HashMap<Addr, H3Entry>,
+    table: FxHashMap<Addr, H3Entry>,
     capacity: usize,
 }
 
 impl H3vp {
     /// Creates an H3VP bounded to roughly `capacity` tracked PCs.
     pub fn new(capacity: usize) -> H3vp {
-        H3vp { table: HashMap::new(), capacity: capacity.max(16) }
+        H3vp { table: FxHashMap::default(), capacity: capacity.max(16) }
     }
 
     /// Default sizing comparable to the CVP-2019 budget class.

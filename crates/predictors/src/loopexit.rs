@@ -6,8 +6,7 @@
 //! *speculatively* at prediction time (fetch runs ahead of resolution)
 //! and are repaired to the committed count on a squash.
 
-use scc_isa::Addr;
-use std::collections::HashMap;
+use scc_isa::{Addr, FxHashMap};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct LoopEntry {
@@ -24,7 +23,7 @@ struct LoopEntry {
 /// The loop-exit predictor.
 #[derive(Clone, Debug)]
 pub struct LoopExitPredictor {
-    table: HashMap<Addr, LoopEntry>,
+    table: FxHashMap<Addr, LoopEntry>,
     capacity: usize,
     overrides: u64,
 }
@@ -32,7 +31,7 @@ pub struct LoopExitPredictor {
 impl LoopExitPredictor {
     /// Creates a predictor tracking up to `capacity` loop branches.
     pub fn new(capacity: usize) -> LoopExitPredictor {
-        LoopExitPredictor { table: HashMap::new(), capacity: capacity.max(4), overrides: 0 }
+        LoopExitPredictor { table: FxHashMap::default(), capacity: capacity.max(4), overrides: 0 }
     }
 
     /// Default sizing (64 loops, like LTAGE's loop table).

@@ -340,7 +340,7 @@ fn main() -> ExitCode {
         }
     }
     if args.shutdown {
-        match Client::connect(&args.cfg.addr).and_then(|mut c| c.request("{\"verb\":\"shutdown\"}"))
+        match Client::connect(&args.cfg.addr).and_then(|mut c| c.request("{\"proto\":2,\"verb\":\"shutdown\"}"))
         {
             Ok(resp) => eprintln!("scc-load: shutdown → {}", resp.trim()),
             Err(e) => {

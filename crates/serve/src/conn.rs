@@ -26,10 +26,11 @@
 //! case in tests; the event loop instantiates it with a real
 //! [`Stream`](crate::net::Stream).
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 
 use crate::frame::{FrameReader, FrameWriter, Poll, WriteStatus};
-use crate::protocol::{error_response, ErrorCode, Proto};
+use crate::protocol::{error_response, ErrorCode};
 
 /// Pause parsing new frames once this many response bytes are queued
 /// behind a slow reader; parsing resumes when the buffer drains. This
@@ -137,11 +138,9 @@ impl<S: Read + Write> Conn<S> {
                 Poll::Err(_) => return ConnStatus::Closed,
                 Poll::Oversized => {
                     // The stream is mid-frame; recovery is impossible.
-                    // Framing errors predate envelope detection, so they
-                    // are answered in v1 — the envelope every client
-                    // generation understands.
+                    // Framing errors carry no `id`: the frame never
+                    // parsed far enough to reveal one.
                     let r = error_response(
-                        Proto::V1,
                         None,
                         ErrorCode::OversizedFrame,
                         &format!("frame exceeds {} bytes", self.max_frame),
@@ -152,13 +151,8 @@ impl<S: Read + Write> Conn<S> {
                     break;
                 }
                 Poll::BadUtf8 => {
-                    let r = error_response(
-                        Proto::V1,
-                        None,
-                        ErrorCode::BadFrame,
-                        "frame is not valid UTF-8",
-                        None,
-                    );
+                    let r =
+                        error_response(None, ErrorCode::BadFrame, "frame is not valid UTF-8", None);
                     self.writer.push(&r);
                 }
                 Poll::Line(line) => match on_frame(&line) {
@@ -217,4 +211,22 @@ impl<S: Read + Write> Conn<S> {
             Err(_) => ConnStatus::Closed,
         }
     }
+}
+
+/// The drain sweep both readiness loops run on every tick while
+/// draining: each idle connection is marked to close once its buffer
+/// drains and is flushed; a connection owed a job's reply is left for
+/// that reply's delivery. A draining connection parses no further
+/// frames, so the sweep dispatches none. Closed connections are removed
+/// from `conns`; returns how many were.
+pub(crate) fn sweep_for_drain<S: Read + Write>(conns: &mut HashMap<u64, Conn<S>>) -> usize {
+    let before = conns.len();
+    conns.retain(|_, c| {
+        if c.awaiting_job() {
+            return true;
+        }
+        c.begin_drain();
+        c.flush() == ConnStatus::Open
+    });
+    before - conns.len()
 }

@@ -38,6 +38,7 @@ use std::time::{Duration, Instant};
 use crate::client::Client;
 use crate::json::Json;
 use crate::net::Addr;
+use crate::protocol::ErrorCode;
 use scc_isa::json::escape;
 
 /// `results/BENCH_serve.json` document schema. v3 added `mode`, the
@@ -260,7 +261,7 @@ fn run_request_line(cfg: &LoadConfig, phase: usize, conn: usize, seq: usize) -> 
         None => String::new(),
     };
     format!(
-        "{{\"verb\":\"run\",\"id\":\"p{phase}-c{conn}-r{seq}\",\"workload\":\"{}\",\"iters\":{iters},\"level\":\"{}\"{deadline}}}",
+        "{{\"proto\":2,\"verb\":\"run\",\"id\":\"p{phase}-c{conn}-r{seq}\",\"workload\":\"{}\",\"iters\":{iters},\"level\":\"{}\"{deadline}}}",
         escape(&cfg.workload),
         escape(&cfg.level),
     )
@@ -269,7 +270,7 @@ fn run_request_line(cfg: &LoadConfig, phase: usize, conn: usize, seq: usize) -> 
 /// Fetches the server's `stats` object.
 pub fn stats_object(addr: &Addr) -> io::Result<Json> {
     let mut c = Client::connect(addr)?;
-    let j = c.request_json("{\"verb\":\"stats\"}")?;
+    let j = c.request_json("{\"proto\":2,\"verb\":\"stats\"}")?;
     j.get("stats")
         .cloned()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "stats missing"))
@@ -306,18 +307,18 @@ fn summed_counters(cfg: &LoadConfig) -> io::Result<TierCounters> {
 /// round-trip.
 fn open_idle(addr: &Addr) -> io::Result<Client> {
     let mut c = Client::connect_with_timeout(addr, Duration::from_secs(30))?;
-    let h = c.request_json("{\"verb\":\"health\"}")?;
+    let h = c.request_json("{\"proto\":2,\"verb\":\"health\"}")?;
     if h.get("ok").and_then(Json::as_bool) != Some(true) {
         return Err(io::Error::new(io::ErrorKind::InvalidData, format!("idle health: {h:?}")));
     }
     Ok(c)
 }
 
-/// Error kinds the generator retries after the server's
+/// Error codes the generator retries after the server's
 /// `retry_after_ms` hint: queue backpressure and transient shard
 /// outages behind a router. Everything else is a hard failure.
-fn retryable(kind: Option<&str>) -> bool {
-    matches!(kind, Some("queue_full") | Some("shard_unavailable"))
+fn retryable(code: Option<ErrorCode>) -> bool {
+    matches!(code, Some(ErrorCode::QueueFull | ErrorCode::ShardUnavailable))
 }
 
 /// Runs one hot phase: `conns` client threads, each issuing
@@ -347,12 +348,11 @@ fn run_phase(cfg: &LoadConfig, phase: usize, conns: usize) -> io::Result<(PhaseR
                         break;
                     }
                     let err = resp.get("error");
-                    // v1 frames carry the discriminant as `kind`, v2 as
-                    // `code`; the generator speaks v1 but stays robust.
-                    let kind = err
-                        .and_then(|e| e.get("kind").or_else(|| e.get("code")))
-                        .and_then(Json::as_str);
-                    if retryable(kind) {
+                    let code = err
+                        .and_then(|e| e.get("code"))
+                        .and_then(Json::as_str)
+                        .and_then(ErrorCode::parse);
+                    if retryable(code) {
                         rejections.fetch_add(1, Ordering::Relaxed);
                         let ms = err
                             .and_then(|e| e.get("retry_after_ms"))
@@ -449,7 +449,7 @@ pub fn run(cfg: &LoadConfig) -> io::Result<LoadReport> {
     let mut idle_failures = 0u64;
     for c in &mut idle {
         let live = c
-            .request_json("{\"verb\":\"health\"}")
+            .request_json("{\"proto\":2,\"verb\":\"health\"}")
             .ok()
             .and_then(|h| h.get("ok").and_then(Json::as_bool))
             == Some(true);

@@ -1,14 +1,15 @@
-//! Transport plumbing shared by the server, the client, and the bins:
-//! an address type covering TCP and Unix sockets, and a [`Stream`] enum
-//! abstracting over both connection kinds.
+//! Transport plumbing shared by the server, the router, the client, and
+//! the bins: an address type covering TCP and Unix sockets, a [`Stream`]
+//! enum abstracting over both connection kinds, and the nonblocking
+//! `Listener` front end both readiness loops accept on.
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::io::{AsRawFd, RawFd};
 #[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::Duration;
 
 /// Where to listen or connect.
@@ -126,6 +127,88 @@ impl Write for Stream {
             Stream::Tcp(s) => s.flush(),
             #[cfg(unix)]
             Stream::Unix(s) => s.flush(),
+        }
+    }
+}
+
+/// One bound, nonblocking listening socket. A Unix listener unlinks its
+/// socket file when dropped.
+pub(crate) enum Listener {
+    /// A TCP listener.
+    Tcp(TcpListener),
+    /// A Unix-domain listener and the socket path it owns.
+    #[cfg(unix)]
+    Unix(UnixListener, std::path::PathBuf),
+}
+
+impl Listener {
+    /// Binds every address nonblocking. A Unix socket path left over
+    /// from a previous run is unlinked first. Fails on an empty list.
+    pub fn bind_all(addrs: &[Addr]) -> io::Result<Vec<Listener>> {
+        if addrs.is_empty() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "no listen addresses"));
+        }
+        addrs.iter().map(Listener::bind).collect()
+    }
+
+    fn bind(addr: &Addr) -> io::Result<Listener> {
+        match addr {
+            Addr::Tcp(hp) => {
+                let l = TcpListener::bind(hp.as_str())?;
+                l.set_nonblocking(true)?;
+                Ok(Listener::Tcp(l))
+            }
+            #[cfg(unix)]
+            Addr::Unix(path) => {
+                let _ = std::fs::remove_file(path);
+                let l = UnixListener::bind(path)?;
+                l.set_nonblocking(true)?;
+                Ok(Listener::Unix(l, path.clone()))
+            }
+        }
+    }
+
+    /// The bound address of a TCP listener (resolves port 0).
+    pub fn local_tcp_addr(&self) -> Option<SocketAddr> {
+        match self {
+            Listener::Tcp(l) => l.local_addr().ok(),
+            #[cfg(unix)]
+            Listener::Unix(..) => None,
+        }
+    }
+
+    /// Accepts one pending connection; `None` once the backlog is empty
+    /// (`WouldBlock`). The stream is returned as accepted — making it
+    /// nonblocking is the caller's admission step.
+    pub fn accept(&self) -> io::Result<Option<Stream>> {
+        let accepted = match self {
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            #[cfg(unix)]
+            Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
+        };
+        match accepted {
+            Ok(s) => Ok(Some(s)),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+}
+
+#[cfg(unix)]
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Unix(l, _) => l.as_raw_fd(),
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        #[cfg(unix)]
+        if let Listener::Unix(_, path) = self {
+            let _ = std::fs::remove_file(path);
         }
     }
 }

@@ -1,11 +1,10 @@
-//! The `scc-serve` wire protocol: newline-delimited JSON frames, in
-//! two envelope versions.
+//! The `scc-serve` wire protocol: newline-delimited JSON frames in one
+//! envelope, version 2.
 //!
 //! # Grammar
 //!
 //! Every frame is one JSON object on one line (`\n`-terminated, at most
-//! [`MAX_FRAME_BYTES`] bytes). Requests carry a `verb` and, since v2,
-//! a `proto` version field:
+//! [`MAX_FRAME_BYTES`] bytes). Requests carry `"proto":2` and a `verb`:
 //!
 //! ```text
 //! {"proto":2,"verb":"run","id":"r-1","workload":"freqmine","iters":800,
@@ -22,7 +21,7 @@
 //! {"proto":2,"verb":"shutdown"}
 //! ```
 //!
-//! Responses echo the request's protocol version. A v2 response:
+//! Every response, errors included, carries the same envelope:
 //!
 //! ```text
 //! {"ok":true,"proto":2,"id":"r-1","report":{...}}
@@ -30,24 +29,18 @@
 //!  "message":"...","retry_after_ms":120}}
 //! ```
 //!
-//! # Version negotiation
-//!
-//! A frame with no `proto` field (or `"proto":1`) is a **legacy v1**
-//! frame: it is accepted, counted on the `serve.proto.v1_frames`
-//! deprecation counter, and answered with a v1 response — no `proto`
-//! field, and errors carry the machine-readable discriminant under the
-//! legacy `kind` name instead of v2's `code`. `"proto":2` selects the
-//! v2 envelope. Any other value is rejected with `unsupported_proto`
-//! (rendered as v1, the only version both sides are guaranteed to
-//! share). Versions are negotiated **per frame**, not per connection,
-//! so a router can interleave clients of both generations over one
-//! upstream connection.
+//! A request whose `proto` is missing or is anything but `2` is
+//! rejected with `unsupported_proto` (echoing its `id` when that
+//! parses), in that same envelope; the connection keeps serving. The
+//! envelope is this module's decision alone: callers render replies
+//! through [`ok_response`], [`error_response`], [`key_response`] and the
+//! `run` renderers, none of which takes a version.
 //!
 //! # Error codes
 //!
-//! v2 replaces ad-hoc error strings with the closed [`ErrorCode`]
-//! enum. The split that matters operationally is
-//! [`ErrorCode::is_retryable`]: a retryable error (`queue_full`,
+//! Errors carry a code from the closed [`ErrorCode`] enum. The split
+//! that matters operationally is [`ErrorCode::is_retryable`]: a
+//! retryable error (`queue_full`,
 //! `shard_unavailable`, `over_capacity`, `draining`) means *this
 //! request could succeed later or elsewhere* — the deopt-style
 //! recoverable invalidation — while everything else is a hard fault of
@@ -78,32 +71,20 @@ pub const MAX_ITERS: i64 = 100_000;
 /// Default workload scale when a `run` request omits `iters`.
 pub const DEFAULT_ITERS: i64 = 1000;
 
-/// Wire protocol envelope version of one frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+/// The wire envelope version. There is one; [`run_response`] names it
+/// so its callers state which envelope they compare against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Proto {
-    /// Legacy envelope: no `proto` field, errors keyed by `kind`.
-    /// Accepted for compatibility; counted on `serve.proto.v1_frames`.
-    #[default]
-    V1,
-    /// Current envelope: `proto` echoed on responses, errors carry a
-    /// closed machine-readable `code`.
+    /// `"proto":2` on every frame; errors carry a closed `code`.
     V2,
 }
 
-impl Proto {
-    /// The numeric version carried on the wire.
-    pub fn number(self) -> u64 {
-        match self {
-            Proto::V1 => 1,
-            Proto::V2 => 2,
-        }
-    }
-}
+/// The envelope marker every response carries after `"ok":…,`.
+const ENVELOPE: &str = "\"proto\":2,";
 
-/// The closed set of machine-readable error codes. v1 transported
-/// these as free-form `kind` strings; v2 makes the set explicit so a
-/// router or client can branch on them without string contracts
-/// scattered across the codebase.
+/// The closed set of machine-readable error codes, so a router or
+/// client can branch on them without string contracts scattered across
+/// the codebase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum ErrorCode {
@@ -115,7 +96,7 @@ pub enum ErrorCode {
     UnknownVerb,
     /// The frame exceeded [`MAX_FRAME_BYTES`]; the connection closes.
     OversizedFrame,
-    /// The `proto` field named a version this server does not speak.
+    /// The `proto` field was missing or named a version other than 2.
     UnsupportedProto,
     /// The job queue is at capacity; retry after `retry_after_ms`.
     QueueFull,
@@ -145,7 +126,7 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
-    /// The wire string — identical in v1 (`kind`) and v2 (`code`).
+    /// The wire string, sent as the error's `code`.
     pub fn as_str(self) -> &'static str {
         match self {
             ErrorCode::BadFrame => "bad_frame",
@@ -167,9 +148,9 @@ impl ErrorCode {
         }
     }
 
-    /// Parses a wire string (either envelope's spelling) back into the
-    /// closed set. `None` means the peer spoke a code outside the
-    /// protocol — treat as non-retryable.
+    /// Parses an error's `code` back into the closed set. `None` means
+    /// the peer spoke a code outside the protocol — treat as
+    /// non-retryable.
     pub fn parse(s: &str) -> Option<ErrorCode> {
         [
             ErrorCode::BadFrame,
@@ -306,20 +287,9 @@ pub enum Request {
     Shutdown,
 }
 
-/// One parsed frame: the envelope version plus the request.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Frame {
-    /// Envelope version the client spoke; responses must echo it.
-    pub proto: Proto,
-    /// The request itself.
-    pub request: Request,
-}
-
 /// A protocol-level rejection (the frame never became a job).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProtoError {
-    /// Envelope version to answer in.
-    pub proto: Proto,
     /// Machine-readable code.
     pub code: ErrorCode,
     /// Human-readable detail.
@@ -329,13 +299,13 @@ pub struct ProtoError {
 }
 
 impl ProtoError {
-    fn new(
-        proto: Proto,
-        code: ErrorCode,
-        message: impl Into<String>,
-        id: Option<String>,
-    ) -> ProtoError {
-        ProtoError { proto, code, message: message.into(), id }
+    fn new(code: ErrorCode, message: impl Into<String>, id: Option<String>) -> ProtoError {
+        ProtoError { code, message: message.into(), id }
+    }
+
+    /// The error frame answering the rejected request.
+    pub fn response(&self) -> String {
+        error_response(self.id.as_deref(), self.code, &self.message, None)
     }
 }
 
@@ -345,60 +315,45 @@ pub fn parse_level(label: &str) -> Option<OptLevel> {
     OptLevel::all().into_iter().find(|l| l.label() == label)
 }
 
-/// Parses one request frame, including its envelope version.
-pub fn parse_request(line: &str) -> Result<Frame, ProtoError> {
+/// Parses one request frame. Only the version-2 envelope is accepted.
+pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     use ErrorCode as E;
     let doc = Json::parse(line)
-        .map_err(|e| ProtoError::new(Proto::V1, E::BadFrame, format!("malformed JSON: {e}"), None))?;
+        .map_err(|e| ProtoError::new(E::BadFrame, format!("malformed JSON: {e}"), None))?;
     if !matches!(doc, Json::Obj(_)) {
-        return Err(ProtoError::new(Proto::V1, E::BadFrame, "frame must be a JSON object", None));
+        return Err(ProtoError::new(E::BadFrame, "frame must be a JSON object", None));
     }
-    // The envelope version gates everything else: an unsupported
-    // version is answered in v1, the only envelope both sides share.
-    let proto = match doc.get("proto") {
-        None => Proto::V1,
-        Some(v) => match v.as_u64() {
-            Some(1) => Proto::V1,
-            Some(2) => Proto::V2,
-            _ => {
-                let id = doc.get("id").and_then(Json::as_str).map(str::to_string);
-                return Err(ProtoError::new(
-                    Proto::V1,
-                    E::UnsupportedProto,
-                    "`proto` must be 1 or 2",
-                    id,
-                ));
-            }
-        },
-    };
     let id = doc.get("id").and_then(Json::as_str).map(str::to_string);
+    // The envelope version gates everything else.
+    if doc.get("proto").and_then(Json::as_u64) != Some(2) {
+        return Err(ProtoError::new(E::UnsupportedProto, "`proto` must be 2", id));
+    }
     if let Some(id_field) = doc.get("id") {
         if id_field.as_str().is_none() {
-            return Err(ProtoError::new(proto, E::BadRequest, "`id` must be a string", None));
+            return Err(ProtoError::new(E::BadRequest, "`id` must be a string", None));
         }
         if id.as_deref().is_some_and(|s| s.len() > 128) {
-            return Err(ProtoError::new(proto, E::BadRequest, "`id` longer than 128 bytes", None));
+            return Err(ProtoError::new(E::BadRequest, "`id` longer than 128 bytes", None));
         }
     }
     let verb = match doc.get("verb").and_then(Json::as_str) {
         Some(v) => v,
-        None => return Err(ProtoError::new(proto, E::BadRequest, "missing `verb`", id)),
+        None => return Err(ProtoError::new(E::BadRequest, "missing `verb`", id)),
     };
-    let request = match verb {
+    Ok(match verb {
         "stats" => Request::Stats,
         "health" => Request::Health,
         "persist" => Request::Persist,
         "warm" => Request::Warm,
         "shutdown" => Request::Shutdown,
-        "run" => Request::Run(parse_run(&doc, proto, id)?),
-        "run-trace" => Request::RunTrace(parse_trace(&doc, proto, id)?),
+        "run" => Request::Run(parse_run(&doc, id)?),
+        "run-trace" => Request::RunTrace(parse_trace(&doc, id)?),
         // `key` takes either shape: a `trace` field selects the
         // trace-job key, otherwise the registry-workload key.
-        "key" if doc.get("trace").is_some() => Request::KeyTrace(parse_trace(&doc, proto, id)?),
-        "key" => Request::Key(parse_run(&doc, proto, id)?),
+        "key" if doc.get("trace").is_some() => Request::KeyTrace(parse_trace(&doc, id)?),
+        "key" => Request::Key(parse_run(&doc, id)?),
         other => {
             return Err(ProtoError::new(
-                proto,
                 E::UnknownVerb,
                 format!(
                     "unknown verb `{}` (expected run|run-trace|key|stats|health|persist|warm|shutdown)",
@@ -407,13 +362,12 @@ pub fn parse_request(line: &str) -> Result<Frame, ProtoError> {
                 id,
             ))
         }
-    };
-    Ok(Frame { proto, request })
+    })
 }
 
-fn parse_run(doc: &Json, proto: Proto, id: Option<String>) -> Result<RunRequest, ProtoError> {
+fn parse_run(doc: &Json, id: Option<String>) -> Result<RunRequest, ProtoError> {
     let bad = |msg: String, id: &Option<String>| {
-        Err(ProtoError::new(proto, ErrorCode::BadRequest, msg, id.clone()))
+        Err(ProtoError::new(ErrorCode::BadRequest, msg, id.clone()))
     };
     let workload = match doc.get("workload").and_then(Json::as_str) {
         Some(w) if !w.is_empty() && w.len() <= 64 => w.to_string(),
@@ -427,19 +381,16 @@ fn parse_run(doc: &Json, proto: Proto, id: Option<String>) -> Result<RunRequest,
             _ => return bad(format!("`iters` must be an integer in 1..={MAX_ITERS}"), &id),
         },
     };
-    let (level, max_cycles, deadline_ms, audit) = parse_exec_opts(doc, proto, &id)?;
+    let (level, max_cycles, deadline_ms, audit) = parse_exec_opts(doc, &id)?;
     Ok(RunRequest { id, workload, iters, level, max_cycles, deadline_ms, audit })
 }
 
 /// The execution knobs shared by `run` and `run-trace`.
 fn parse_exec_opts(
     doc: &Json,
-    proto: Proto,
     id: &Option<String>,
 ) -> Result<(OptLevel, Option<u64>, Option<u64>, bool), ProtoError> {
-    let bad = |msg: String| {
-        Err(ProtoError::new(proto, ErrorCode::BadRequest, msg, id.clone()))
-    };
+    let bad = |msg: String| Err(ProtoError::new(ErrorCode::BadRequest, msg, id.clone()));
     let level = match doc.get("level") {
         None => OptLevel::Full,
         Some(v) => match v.as_str().and_then(parse_level) {
@@ -479,9 +430,9 @@ fn parse_exec_opts(
 /// (magic, format/schema versions, CRC, program reconstruction) right
 /// here, so a malformed or version-stale trace is rejected at admission
 /// with [`ErrorCode::BadTrace`] and never reaches a worker.
-fn parse_trace(doc: &Json, proto: Proto, id: Option<String>) -> Result<TraceRequest, ProtoError> {
+fn parse_trace(doc: &Json, id: Option<String>) -> Result<TraceRequest, ProtoError> {
     let fail = |code: ErrorCode, msg: String, id: &Option<String>| {
-        Err(ProtoError::new(proto, code, msg, id.clone()))
+        Err(ProtoError::new(code, msg, id.clone()))
     };
     let b64 = match doc.get("trace").and_then(Json::as_str) {
         Some(t) if !t.is_empty() => t,
@@ -502,7 +453,7 @@ fn parse_trace(doc: &Json, proto: Proto, id: Option<String>) -> Result<TraceRequ
         Ok(t) => t.digest,
         Err(e) => return fail(ErrorCode::BadTrace, format!("invalid SCCTRACE1 payload: {e}"), &id),
     };
-    let (level, max_cycles, deadline_ms, audit) = parse_exec_opts(doc, proto, &id)?;
+    let (level, max_cycles, deadline_ms, audit) = parse_exec_opts(doc, &id)?;
     Ok(TraceRequest { id, trace_bytes, digest, level, max_cycles, deadline_ms, audit })
 }
 
@@ -542,25 +493,14 @@ fn id_field(id: Option<&str>) -> String {
     }
 }
 
-/// The `"proto":2,` envelope marker (empty for v1, which never carried
-/// one — legacy responses must stay byte-identical to the v1 servers).
-fn proto_field(proto: Proto) -> &'static str {
-    match proto {
-        Proto::V1 => "",
-        Proto::V2 => "\"proto\":2,",
-    }
-}
-
 /// Renders a successful non-`run` response from pre-rendered body
-/// fields (e.g. `"status":"ok"`), in the requested envelope.
-pub fn ok_response(proto: Proto, body_fields: &str) -> String {
-    format!("{{\"ok\":true,{}{body_fields}}}\n", proto_field(proto))
+/// fields (e.g. `"status":"ok"`).
+pub fn ok_response(body_fields: &str) -> String {
+    format!("{{\"ok\":true,{ENVELOPE}{body_fields}}}\n")
 }
 
-/// Renders an error response frame in the requested envelope: v1 keys
-/// the discriminant `kind`, v2 keys it `code`.
+/// Renders an error response frame.
 pub fn error_response(
-    proto: Proto,
     id: Option<&str>,
     code: ErrorCode,
     message: &str,
@@ -570,13 +510,8 @@ pub fn error_response(
         Some(ms) => format!(",\"retry_after_ms\":{ms}"),
         None => String::new(),
     };
-    let discriminant = match proto {
-        Proto::V1 => "kind",
-        Proto::V2 => "code",
-    };
     format!(
-        "{{\"ok\":false,{}{}\"error\":{{\"{discriminant}\":\"{}\",\"message\":\"{}\"{retry}}}}}\n",
-        proto_field(proto),
+        "{{\"ok\":false,{ENVELOPE}{}\"error\":{{\"code\":\"{}\",\"message\":\"{}\"{retry}}}}}\n",
         id_field(id),
         code.as_str(),
         escape(message),
@@ -668,26 +603,26 @@ pub fn metrics_object(metrics: &[Metric]) -> String {
     out
 }
 
-/// Renders a successful `run` response frame in the requested envelope,
-/// computing the result's digest.
+/// Renders a successful `run` response frame, computing the result's
+/// digest. `Proto` has one variant; naming it here lets callers that
+/// pin reply bytes say which envelope they expect.
 pub fn run_response(
-    proto: Proto,
+    _proto: Proto,
     id: Option<&str>,
     res: &SimResult,
     audit_jsonl: Option<&str>,
 ) -> String {
-    render_run_response(proto, id, res, arch_digest(res), audit_jsonl)
+    render_run_response(id, res, arch_digest(res), audit_jsonl)
 }
 
 /// [`run_response`] for a runner resolution, rendering the digest the
 /// runner memoised on the result instead of recomputing it — the
 /// server's reply on both its hit and its miss path. Same bytes.
-pub fn run_one_response(proto: Proto, id: Option<&str>, one: &RunOne) -> String {
-    render_run_response(proto, id, &one.result, one.digest, one.audit_jsonl.as_deref())
+pub fn run_one_response(id: Option<&str>, one: &RunOne) -> String {
+    render_run_response(id, &one.result, one.digest, one.audit_jsonl.as_deref())
 }
 
 fn render_run_response(
-    proto: Proto,
     id: Option<&str>,
     res: &SimResult,
     digest: u64,
@@ -695,7 +630,7 @@ fn render_run_response(
 ) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\"ok\":true,");
-    out.push_str(proto_field(proto));
+    out.push_str(ENVELOPE);
     out.push_str(&id_field(id));
     out.push_str("\"report\":");
     push_report(&mut out, res, digest);
@@ -714,32 +649,31 @@ fn render_run_response(
 }
 
 /// Renders a successful `key` response frame.
-pub fn key_response(proto: Proto, id: Option<&str>, key: &str) -> String {
-    format!(
-        "{{\"ok\":true,{}{}\"key\":\"{}\"}}\n",
-        proto_field(proto),
-        id_field(id),
-        escape(key)
-    )
+pub fn key_response(id: Option<&str>, key: &str) -> String {
+    format!("{{\"ok\":true,{ENVELOPE}{}\"key\":\"{}\"}}\n", id_field(id), escape(key))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<Frame, ProtoError> {
+    fn parse(line: &str) -> Result<Request, ProtoError> {
         parse_request(line)
+    }
+
+    /// Parses a version-2 frame made of `fields` (`"verb":…` etc.).
+    fn v2(fields: &str) -> Result<Request, ProtoError> {
+        parse_request(&format!("{{\"proto\":2,{fields}}}"))
     }
 
     #[test]
     fn run_request_round_trips() {
-        let f = parse(
-            r#"{"verb":"run","id":"r-9","workload":"freqmine","iters":800,"level":"baseline","deadline_ms":250,"audit":true}"#,
+        let r = v2(
+            r#""verb":"run","id":"r-9","workload":"freqmine","iters":800,"level":"baseline","deadline_ms":250,"audit":true"#,
         )
         .unwrap();
-        assert_eq!(f.proto, Proto::V1);
         assert_eq!(
-            f.request,
+            r,
             Request::Run(RunRequest {
                 id: Some("r-9".into()),
                 workload: "freqmine".into(),
@@ -753,35 +687,56 @@ mod tests {
     }
 
     #[test]
-    fn proto_negotiation_selects_the_envelope() {
-        assert_eq!(parse(r#"{"verb":"stats"}"#).unwrap().proto, Proto::V1);
-        assert_eq!(parse(r#"{"proto":1,"verb":"stats"}"#).unwrap().proto, Proto::V1);
-        assert_eq!(parse(r#"{"proto":2,"verb":"stats"}"#).unwrap().proto, Proto::V2);
-        // An unknown version is rejected — in v1, the shared envelope.
-        let e = parse(r#"{"proto":3,"verb":"stats","id":"x"}"#).unwrap_err();
-        assert_eq!(e.code, ErrorCode::UnsupportedProto);
-        assert_eq!(e.proto, Proto::V1);
-        assert_eq!(e.id.as_deref(), Some("x"));
-        let e = parse(r#"{"proto":"two","verb":"stats"}"#).unwrap_err();
-        assert_eq!(e.code, ErrorCode::UnsupportedProto);
+    fn frames_without_proto_2_are_rejected_in_the_one_envelope() {
+        for line in [
+            r#"{"verb":"health","id":"u-1"}"#,
+            r#"{"proto":1,"verb":"health","id":"u-1"}"#,
+            r#"{"proto":3,"verb":"health","id":"u-1"}"#,
+            r#"{"proto":"two","verb":"health","id":"u-1"}"#,
+        ] {
+            let e = parse(line).unwrap_err();
+            assert_eq!(e.code, ErrorCode::UnsupportedProto, "{line}");
+            assert_eq!(e.id.as_deref(), Some("u-1"), "{line}");
+            let j = Json::parse(e.response().trim_end()).unwrap();
+            assert_eq!(j.get("ok").and_then(Json::as_bool), Some(false));
+            assert_eq!(j.get("proto").and_then(Json::as_u64), Some(2));
+            assert_eq!(j.get("id").and_then(Json::as_str), Some("u-1"));
+            let err = j.get("error").unwrap();
+            assert_eq!(err.get("code").and_then(Json::as_str), Some("unsupported_proto"));
+            // The rejection is per frame: the next v2 frame parses.
+            assert_eq!(v2(r#""verb":"health""#), Ok(Request::Health));
+        }
+        // An `id` that is not a string is not echoed.
+        let e = parse(r#"{"verb":"health","id":7}"#).unwrap_err();
+        assert_eq!((e.code, e.id), (ErrorCode::UnsupportedProto, None));
     }
 
     #[test]
     fn v2_errors_carry_code_and_the_requests_proto() {
-        let e = parse(r#"{"proto":2,"verb":"dance"}"#).unwrap_err();
-        assert_eq!(e.proto, Proto::V2);
+        let e = v2(r#""verb":"dance""#).unwrap_err();
         assert_eq!(e.code, ErrorCode::UnknownVerb);
-        let rendered = error_response(e.proto, None, e.code, &e.message, None);
-        let j = Json::parse(rendered.trim_end()).unwrap();
+        let s = e.response();
+        assert!(!s.contains("retry_after_ms"));
+        assert!(!s.contains("\"id\""));
+        let j = Json::parse(s.trim_end()).unwrap();
         assert_eq!(j.get("proto").and_then(Json::as_u64), Some(2));
         let err = j.get("error").unwrap();
         assert_eq!(err.get("code").and_then(Json::as_str), Some("unknown_verb"));
-        assert!(err.get("kind").is_none(), "v2 must not carry the legacy kind");
+        // An id is escaped and echoed; a retry hint is carried.
+        let s = error_response(Some("r\"1"), ErrorCode::QueueFull, "queue at capacity", Some(120));
+        assert!(s.ends_with('\n'));
+        assert_eq!(s.lines().count(), 1);
+        let j = Json::parse(s.trim_end()).unwrap();
+        assert_eq!(j.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(j.get("id").and_then(Json::as_str), Some("r\"1"));
+        let err = j.get("error").unwrap();
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("queue_full"));
+        assert_eq!(err.get("retry_after_ms").and_then(Json::as_u64), Some(120));
     }
 
     #[test]
     fn run_defaults_are_applied() {
-        match parse(r#"{"verb":"run","workload":"gcc"}"#).unwrap().request {
+        match v2(r#""verb":"run","workload":"gcc""#).unwrap() {
             Request::Run(r) => {
                 assert_eq!(r.iters, DEFAULT_ITERS);
                 assert_eq!(r.level, OptLevel::Full);
@@ -794,13 +749,13 @@ mod tests {
 
     #[test]
     fn verbs_parse() {
-        let req = |l: &str| parse(l).unwrap().request;
-        assert_eq!(req(r#"{"verb":"stats"}"#), Request::Stats);
-        assert_eq!(req(r#"{"verb":"health"}"#), Request::Health);
-        assert_eq!(req(r#"{"verb":"persist"}"#), Request::Persist);
-        assert_eq!(req(r#"{"verb":"warm"}"#), Request::Warm);
-        assert_eq!(req(r#"{"verb":"shutdown"}"#), Request::Shutdown);
-        match req(r#"{"verb":"key","workload":"gcc","iters":42}"#) {
+        let req = |fields: &str| v2(fields).unwrap();
+        assert_eq!(req(r#""verb":"stats""#), Request::Stats);
+        assert_eq!(req(r#""verb":"health""#), Request::Health);
+        assert_eq!(req(r#""verb":"persist""#), Request::Persist);
+        assert_eq!(req(r#""verb":"warm""#), Request::Warm);
+        assert_eq!(req(r#""verb":"shutdown""#), Request::Shutdown);
+        match req(r#""verb":"key","workload":"gcc","iters":42"#) {
             Request::Key(k) => assert_eq!((k.workload.as_str(), k.iters), ("gcc", 42)),
             other => panic!("{other:?}"),
         }
@@ -819,29 +774,29 @@ mod tests {
 
     #[test]
     fn unknown_verbs_and_bad_fields_are_typed() {
-        assert_eq!(parse(r#"{"verb":"dance"}"#).unwrap_err().code, ErrorCode::UnknownVerb);
-        assert_eq!(parse(r#"{"workload":"gcc"}"#).unwrap_err().code, ErrorCode::BadRequest);
+        assert_eq!(v2(r#""verb":"dance""#).unwrap_err().code, ErrorCode::UnknownVerb);
+        assert_eq!(v2(r#""workload":"gcc""#).unwrap_err().code, ErrorCode::BadRequest);
         for bad in [
-            r#"{"verb":"run"}"#,
-            r#"{"verb":"run","workload":""}"#,
-            r#"{"verb":"run","workload":"gcc","iters":0}"#,
-            r#"{"verb":"run","workload":"gcc","iters":9999999}"#,
-            r#"{"verb":"run","workload":"gcc","iters":3.5}"#,
-            r#"{"verb":"run","workload":"gcc","level":"ludicrous"}"#,
-            r#"{"verb":"run","workload":"gcc","deadline_ms":-4}"#,
-            r#"{"verb":"run","workload":"gcc","audit":"yes"}"#,
-            r#"{"verb":"run","workload":"gcc","max_cycles":0}"#,
-            r#"{"verb":"run","id":7,"workload":"gcc"}"#,
-            r#"{"verb":"key"}"#,
+            r#""verb":"run""#,
+            r#""verb":"run","workload":"""#,
+            r#""verb":"run","workload":"gcc","iters":0"#,
+            r#""verb":"run","workload":"gcc","iters":9999999"#,
+            r#""verb":"run","workload":"gcc","iters":3.5"#,
+            r#""verb":"run","workload":"gcc","level":"ludicrous""#,
+            r#""verb":"run","workload":"gcc","deadline_ms":-4"#,
+            r#""verb":"run","workload":"gcc","audit":"yes""#,
+            r#""verb":"run","workload":"gcc","max_cycles":0"#,
+            r#""verb":"run","id":7,"workload":"gcc""#,
+            r#""verb":"key""#,
         ] {
-            let e = parse(bad).unwrap_err();
+            let e = v2(bad).unwrap_err();
             assert_eq!(e.code, ErrorCode::BadRequest, "{bad}");
         }
     }
 
     #[test]
     fn error_id_is_preserved_when_parseable() {
-        let e = parse(r#"{"verb":"dance","id":"r-3"}"#).unwrap_err();
+        let e = v2(r#""verb":"dance","id":"r-3""#).unwrap_err();
         assert_eq!(e.id.as_deref(), Some("r-3"));
     }
 
@@ -887,27 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_error_responses_are_byte_stable() {
-        // The legacy envelope is a compatibility promise: no proto
-        // field, discriminant under `kind`.
-        let s = error_response(Proto::V1, Some("r\"1"), ErrorCode::QueueFull, "queue at capacity", Some(120));
-        assert!(s.ends_with('\n'));
-        assert_eq!(s.lines().count(), 1);
-        let j = Json::parse(s.trim_end()).unwrap();
-        assert_eq!(j.get("ok").and_then(Json::as_bool), Some(false));
-        assert!(j.get("proto").is_none());
-        assert_eq!(j.get("id").and_then(Json::as_str), Some("r\"1"));
-        let err = j.get("error").unwrap();
-        assert_eq!(err.get("kind").and_then(Json::as_str), Some("queue_full"));
-        assert_eq!(err.get("retry_after_ms").and_then(Json::as_u64), Some(120));
-        // No retry hint → field absent.
-        let s = error_response(Proto::V1, None, ErrorCode::BadFrame, "nope", None);
-        assert!(!s.contains("retry_after_ms"));
-        assert!(!s.contains("\"id\""));
-        assert!(!s.contains("proto"));
-    }
-
-    #[test]
     fn run_key_matches_the_runners_canonical_key() {
         use scc_sim::runner::{resolve_workload, Job};
         use scc_workloads::Scale;
@@ -942,12 +876,9 @@ mod tests {
     #[test]
     fn run_trace_parses_and_synthesizes_a_digest_named_job() {
         let b64 = example_trace_b64();
-        let f = parse(&format!(
-            r#"{{"proto":2,"verb":"run-trace","id":"t-1","trace":"{b64}","level":"baseline"}}"#
-        ))
-        .unwrap();
-        assert_eq!(f.proto, Proto::V2);
-        let tr = match f.request {
+        let tr = match v2(&format!(r#""verb":"run-trace","id":"t-1","trace":"{b64}","level":"baseline""#))
+            .unwrap()
+        {
             Request::RunTrace(tr) => tr,
             other => panic!("{other:?}"),
         };
@@ -957,8 +888,7 @@ mod tests {
         assert_eq!(run.iters, 1);
         assert!(scc_sim::runner::is_trace_workload(&run.workload));
         // The key verb computes the same key `run-trace` executes under.
-        let kf = parse(&format!(r#"{{"verb":"key","trace":"{b64}","level":"baseline"}}"#)).unwrap();
-        match kf.request {
+        match v2(&format!(r#""verb":"key","trace":"{b64}","level":"baseline""#)).unwrap() {
             Request::KeyTrace(kt) => assert_eq!(trace_key(&kt, 1000), trace_key(&tr, 1000)),
             other => panic!("{other:?}"),
         }
@@ -981,24 +911,23 @@ mod tests {
         cases.push(stale);
         for bytes in cases {
             let b64 = scc_lang::trace::to_base64(&bytes);
-            let e = parse(&format!(r#"{{"verb":"run-trace","id":"x","trace":"{b64}"}}"#))
-                .unwrap_err();
+            let e = v2(&format!(r#""verb":"run-trace","id":"x","trace":"{b64}""#)).unwrap_err();
             assert_eq!(e.code, ErrorCode::BadTrace);
             assert_eq!(e.id.as_deref(), Some("x"));
         }
         // Not base64 at all.
-        let e = parse(r#"{"verb":"run-trace","trace":"@@@@"}"#).unwrap_err();
+        let e = v2(r#""verb":"run-trace","trace":"@@@@""#).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadTrace);
         // Missing/empty payloads are request-shape errors, not trace errors.
-        let e = parse(r#"{"verb":"run-trace"}"#).unwrap_err();
+        let e = v2(r#""verb":"run-trace""#).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
-        let e = parse(r#"{"verb":"run-trace","trace":""}"#).unwrap_err();
+        let e = v2(r#""verb":"run-trace","trace":"""#).unwrap_err();
         assert_eq!(e.code, ErrorCode::BadRequest);
     }
 
     #[test]
     fn key_response_renders_valid_json() {
-        let s = key_response(Proto::V2, Some("k-1"), "freqmine|iters=800|full-scc|max=1|x");
+        let s = key_response(Some("k-1"), "freqmine|iters=800|full-scc|max=1|x");
         let j = Json::parse(s.trim_end()).unwrap();
         assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(j.get("proto").and_then(Json::as_u64), Some(2));

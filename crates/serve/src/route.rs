@@ -51,24 +51,21 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 #[cfg(unix)]
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 #[cfg(unix)]
-use std::os::unix::io::{AsRawFd, RawFd};
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[cfg(unix)]
-use crate::conn::{Conn, ConnStatus};
+use crate::conn::{sweep_for_drain, Conn, ConnStatus};
 use crate::conn::FrameDisposition;
 use crate::frame::{FrameReader, FrameWriter, Poll};
-use crate::net::{Addr, Stream};
+use crate::net::{Addr, Listener, Stream};
 use crate::protocol::{
     error_response, key_response, metrics_object, ok_response, parse_request, run_key,
-    trace_key, ErrorCode, Proto, Request, MAX_FRAME_BYTES,
+    trace_key, ErrorCode, Request, MAX_FRAME_BYTES,
 };
 use crate::ring::Ring;
 #[cfg(unix)]
@@ -136,15 +133,14 @@ struct Upstream {
     writer: FrameWriter,
     /// Client tokens owed a response, in forwarding order (NDJSON
     /// responses return in order on one connection). Entries carry the
-    /// envelope/id needed to synthesize a typed failure if the
-    /// connection dies with the response still owed.
+    /// id needed to synthesize a typed failure if the connection dies
+    /// with the response still owed.
     fifo: VecDeque<FifoEntry>,
 }
 
 #[cfg(unix)]
 struct FifoEntry {
     token: u64,
-    proto: Proto,
     id: Option<String>,
 }
 
@@ -200,7 +196,6 @@ struct Counters {
     shard_unavailable: u64,
     upstream_failures: u64,
     reconnects: u64,
-    v1_frames: u64,
 }
 
 /// A `run` frame parsed, placed, and awaiting an upstream slot.
@@ -208,7 +203,6 @@ struct PendingForward {
     token: u64,
     shard: usize,
     line: String,
-    proto: Proto,
     id: Option<String>,
 }
 
@@ -238,22 +232,6 @@ impl RouterHandle {
     }
 }
 
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf),
-}
-
-#[cfg(unix)]
-impl Listener {
-    fn raw_fd(&self) -> RawFd {
-        match self {
-            Listener::Tcp(l) => l.as_raw_fd(),
-            Listener::Unix(l, _) => l.as_raw_fd(),
-        }
-    }
-}
-
 /// The router: listeners + ring + upstream pools, one readiness loop.
 /// Construct with [`Router::bind`], then block in [`Router::serve`].
 pub struct Router {
@@ -261,7 +239,6 @@ pub struct Router {
     cfg: RouterConfig,
     ring: Ring,
     listeners: Vec<Listener>,
-    tcp_addrs: Vec<SocketAddr>,
 }
 
 impl Router {
@@ -272,35 +249,13 @@ impl Router {
         if cfg.shards.is_empty() {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "no shard addresses"));
         }
-        let mut listeners = Vec::new();
-        let mut tcp_addrs = Vec::new();
-        for addr in addrs {
-            match addr {
-                Addr::Tcp(hp) => {
-                    let l = TcpListener::bind(hp.as_str())?;
-                    l.set_nonblocking(true)?;
-                    tcp_addrs.push(l.local_addr()?);
-                    listeners.push(Listener::Tcp(l));
-                }
-                #[cfg(unix)]
-                Addr::Unix(path) => {
-                    let _ = std::fs::remove_file(path);
-                    let l = UnixListener::bind(path)?;
-                    l.set_nonblocking(true)?;
-                    listeners.push(Listener::Unix(l, path.clone()));
-                }
-            }
-        }
-        if listeners.is_empty() {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "no listen addresses"));
-        }
+        let listeners = Listener::bind_all(addrs)?;
         let ring = Ring::new(cfg.shards.len());
         Ok(Router {
             shared: Arc::new(RouterShared { drain: AtomicBool::new(false) }),
             cfg: RouterConfig { upstream_conns: cfg.upstream_conns.max(1), ..cfg },
             ring,
             listeners,
-            tcp_addrs,
         })
     }
 
@@ -311,19 +266,14 @@ impl Router {
 
     /// The first bound TCP address (resolves port 0 for tests).
     pub fn local_tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp_addrs.first().copied()
+        self.listeners.iter().find_map(Listener::local_tcp_addr)
     }
 
-    /// Runs the router until drained.
+    /// Runs the router until drained. Unix socket files are unlinked as
+    /// the listeners drop on return.
     #[cfg(unix)]
     pub fn serve(self) -> io::Result<()> {
-        let result = route_loop(&self);
-        for l in &self.listeners {
-            if let Listener::Unix(_, path) = l {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-        result
+        route_loop(&self)
     }
 
     /// The readiness loop multiplexes raw fds via `poll(2)`, which this
@@ -376,18 +326,7 @@ fn route_loop(router: &Router) -> io::Result<()> {
                 propagate_shutdown(&mut shards);
                 shutdown_propagated = true;
             }
-            sweep_for_drain(&mut conns, |tok, line| {
-                frame_action(
-                    cfg,
-                    ring,
-                    &shards,
-                    &mut counters,
-                    &mut pending,
-                    &router.shared.drain,
-                    tok,
-                    line,
-                )
-            });
+            sweep_for_drain(&mut conns);
             let upstream_quiet = shards.iter().all(|s| {
                 s.slots.iter().all(|slot| match slot {
                     Slot::Up(u) => u.writer.is_empty(),
@@ -406,7 +345,7 @@ fn route_loop(router: &Router) -> io::Result<()> {
         let mut fds = Vec::with_capacity(router.listeners.len() + conns.len() + shards.len());
         let listener_base = fds.len();
         for l in &router.listeners {
-            let fd = if accepting { l.raw_fd() } else { -1 };
+            let fd = if accepting { l.as_raw_fd() } else { -1 };
             fds.push(sys::PollFd::new(fd, sys::POLLIN));
         }
         let conn_base = fds.len();
@@ -559,60 +498,50 @@ fn frame_action(
     use FrameDisposition::Reply;
     let draining = drain.load(Ordering::SeqCst);
     counters.requests += 1;
-    let frame = match parse_request(line) {
-        Ok(f) => f,
-        Err(e) => {
-            return Reply(error_response(e.proto, e.id.as_deref(), e.code, &e.message, None))
-        }
+    let request = match parse_request(line) {
+        Ok(r) => r,
+        Err(e) => return Reply(e.response()),
     };
-    let proto = frame.proto;
-    if proto == Proto::V1 {
-        counters.v1_frames += 1;
-    }
-    match frame.request {
+    match request {
         Request::Health => {
             let status = if draining { "draining" } else { "ok" };
-            Reply(ok_response(proto, &format!("\"status\":\"{status}\"")))
+            Reply(ok_response(&format!("\"status\":\"{status}\"")))
         }
-        Request::Stats => {
-            Reply(ok_response(proto, &format!("\"stats\":{}", metrics_object(&route_metrics(
-                cfg, shards, counters, draining,
-            )))))
-        }
+        Request::Stats => Reply(ok_response(&format!(
+            "\"stats\":{}",
+            metrics_object(&route_metrics(cfg, shards, counters, draining))
+        ))),
         Request::Shutdown => {
             // Raise the drain flag here; the loop observes it on its
             // next tick and propagates `shutdown` to the shards.
             // Replying first lets the client see the acknowledgement
             // before its connection drains.
             drain.store(true, Ordering::SeqCst);
-            Reply(ok_response(proto, "\"status\":\"draining\""))
+            Reply(ok_response("\"status\":\"draining\""))
         }
         Request::Key(req) => {
             // Same computation the shard would do — and the exact
             // string the ring hashes below for `run`.
             let key = run_key(&req, cfg.max_cycles);
-            Reply(key_response(proto, req.id.as_deref(), &key))
+            Reply(key_response(req.id.as_deref(), &key))
         }
         Request::KeyTrace(req) => {
             let key = trace_key(&req, cfg.max_cycles);
-            Reply(key_response(proto, req.id.as_deref(), &key))
+            Reply(key_response(req.id.as_deref(), &key))
         }
         Request::Persist | Request::Warm => Reply(error_response(
-            proto,
             None,
             ErrorCode::BadRequest,
             "store administration is per-shard; send this verb to a shard directly",
             None,
         )),
         Request::Run(req) if draining => Reply(error_response(
-            proto,
             req.id.as_deref(),
             ErrorCode::Draining,
             "router is draining; submit to another instance",
             None,
         )),
         Request::RunTrace(req) if draining => Reply(error_response(
-            proto,
             req.id.as_deref(),
             ErrorCode::Draining,
             "router is draining; submit to another instance",
@@ -621,13 +550,12 @@ fn frame_action(
         Request::Run(req) => {
             // Forward the client's bytes verbatim: the router adds
             // nothing and rewrites nothing, so shard responses (keyed
-            // by the same id and proto) pass through byte-identical.
+            // by the same id) pass through byte-identical.
             let shard = ring.shard_for(&run_key(&req, cfg.max_cycles));
             pending.push(PendingForward {
                 token,
                 shard,
                 line: format!("{line}\n"),
-                proto,
                 id: req.id,
             });
             FrameDisposition::JobQueued
@@ -642,7 +570,6 @@ fn frame_action(
                 token,
                 shard,
                 line: format!("{line}\n"),
-                proto,
                 id: req.id,
             });
             FrameDisposition::JobQueued
@@ -677,7 +604,6 @@ fn dispatch_forward(
         completions.push((
             fwd.token,
             error_response(
-                fwd.proto,
                 fwd.id.as_deref(),
                 ErrorCode::ShardUnavailable,
                 &format!("shard {} ({}) is unreachable", fwd.shard, shard.addr),
@@ -688,7 +614,7 @@ fn dispatch_forward(
     };
     let Slot::Up(up) = &mut shard.slots[vi] else { unreachable!() };
     up.writer.push(&fwd.line);
-    up.fifo.push_back(FifoEntry { token: fwd.token, proto: fwd.proto, id: fwd.id });
+    up.fifo.push_back(FifoEntry { token: fwd.token, id: fwd.id });
     counters.forwarded += 1;
     shard.forwarded += 1;
     // Opportunistic flush; leftovers drain on the next POLLOUT edge. A
@@ -730,7 +656,6 @@ fn service_upstream(
                         completions.push((
                             entry.token,
                             error_response(
-                                entry.proto,
                                 entry.id.as_deref(),
                                 ErrorCode::InternalError,
                                 "shard returned a non-UTF-8 frame",
@@ -781,7 +706,6 @@ fn fail_slot_into(
             completions.push((
                 entry.token,
                 error_response(
-                    entry.proto,
                     entry.id.as_deref(),
                     ErrorCode::ShardUnavailable,
                     &format!("shard connection to {} failed mid-request", shard.addr),
@@ -841,35 +765,13 @@ fn propagate_shutdown(shards: &mut [ShardState]) {
             })
             .min_by_key(|u| u.fifo.len());
         if let Some(up) = slot {
-            up.writer.push("{\"verb\":\"shutdown\"}\n");
-            up.fifo.push_back(FifoEntry { token: CONTROL_TOKEN, proto: Proto::V1, id: None });
+            up.writer.push("{\"proto\":2,\"verb\":\"shutdown\"}\n");
+            up.fifo.push_back(FifoEntry { token: CONTROL_TOKEN, id: None });
             let _ = up.writer.write_some(&mut up.stream);
         }
         // A fully-down shard gets nothing — it is already not serving,
         // and whoever supervises it (scc-load's spawn mode, CI) owns
         // its lifecycle.
-    }
-}
-
-/// Drain sweep over client connections, mirroring the server's.
-#[cfg(unix)]
-fn sweep_for_drain(
-    conns: &mut HashMap<u64, Conn<Stream>>,
-    mut cb: impl FnMut(u64, &str) -> FrameDisposition,
-) {
-    let mut closed = Vec::new();
-    for (tok, c) in conns.iter_mut() {
-        if c.awaiting_job() {
-            continue;
-        }
-        c.begin_drain();
-        let mut f = |line: &str| cb(*tok, line);
-        if c.on_writable(&mut f) == ConnStatus::Closed {
-            closed.push(*tok);
-        }
-    }
-    for tok in closed {
-        conns.remove(&tok);
     }
 }
 
@@ -883,32 +785,17 @@ fn accept_all(
     next_token: &mut u64,
     counters: &mut Counters,
 ) -> io::Result<()> {
-    let would_block = |e: &io::Error| e.kind() == io::ErrorKind::WouldBlock;
-    loop {
-        let stream = match l {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Stream::Tcp(s),
-                Err(e) if would_block(&e) => return Ok(()),
-                Err(e) => return Err(e),
-            },
-            Listener::Unix(l, _) => match l.accept() {
-                Ok((s, _)) => Stream::Unix(s),
-                Err(e) if would_block(&e) => return Ok(()),
-                Err(e) => return Err(e),
-            },
-        };
+    while let Some(mut stream) = l.accept()? {
         counters.connections += 1;
         if conns.len() >= cfg.max_conns {
             counters.conns_refused += 1;
             let r = error_response(
-                Proto::V1,
                 None,
                 ErrorCode::OverCapacity,
                 &format!("connection limit {} reached", cfg.max_conns),
                 Some(100),
             );
             let _ = stream.set_nonblocking(true);
-            let mut stream = stream;
             let _ = stream.write(r.as_bytes());
             continue;
         }
@@ -921,6 +808,7 @@ fn accept_all(
         *next_token += 1;
         conns.insert(token, Conn::new(stream, MAX_FRAME_BYTES));
     }
+    Ok(())
 }
 
 /// The `route.*` metric set behind the router's `stats` verb.
@@ -951,7 +839,6 @@ fn route_metrics(
         c("route.forwarded", counters.forwarded),
         c("route.replies", counters.replies),
         c("route.shard_unavailable", counters.shard_unavailable),
-        c("route.proto.v1_frames", counters.v1_frames),
     ];
     for (i, s) in shards.iter().enumerate() {
         out.push(counter(format!("route.shard.{i}.forwarded"), s.forwarded));

@@ -35,11 +35,9 @@ use std::collections::HashMap;
 use std::io;
 #[cfg(unix)]
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 #[cfg(unix)]
-use std::os::unix::io::{AsRawFd, RawFd};
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -47,13 +45,14 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 #[cfg(unix)]
-use crate::conn::{Conn, ConnStatus};
+use crate::conn::{sweep_for_drain, Conn, ConnStatus};
 use crate::conn::FrameDisposition;
-use crate::net::{Addr, Stream};
+use crate::net::{Addr, Listener};
+#[cfg(unix)]
+use crate::net::Stream;
 use crate::protocol::{
     error_response, key_response, metrics_object, ok_response, parse_request, run_key,
-    run_one_response, trace_key, ErrorCode, Proto, Request, RunRequest, TraceRequest,
-    MAX_FRAME_BYTES,
+    run_one_response, trace_key, ErrorCode, Request, RunRequest, TraceRequest, MAX_FRAME_BYTES,
 };
 #[cfg(unix)]
 use crate::sys;
@@ -120,7 +119,6 @@ impl Default for ServerConfig {
 /// the rendered response back to its connection through the completion
 /// list.
 struct QueuedJob {
-    proto: Proto,
     req: RunRequest,
     /// `Some` for a `run-trace` job: the ingested program, already
     /// decoded and named `trace:<digest>` in `req.workload`. `None` for
@@ -162,10 +160,6 @@ struct Shared {
     jobs_ok: AtomicU64,
     jobs_failed: AtomicU64,
     jobs_rejected: AtomicU64,
-    /// Deprecation counter: frames received in the legacy v1 envelope
-    /// (no `proto` field, or `proto:1`). Watch this hit zero before
-    /// retiring v1 support.
-    v1_frames: AtomicU64,
     /// EWMA of job wall time, microseconds (alpha = 1/8).
     avg_job_us: AtomicU64,
     /// True when `store_dir` was requested but the store failed to open
@@ -239,7 +233,6 @@ impl Shared {
             counter("serve.jobs.ok", self.jobs_ok.load(Ordering::Relaxed)),
             counter("serve.jobs.failed", self.jobs_failed.load(Ordering::Relaxed)),
             counter("serve.jobs.rejected", self.jobs_rejected.load(Ordering::Relaxed)),
-            counter("serve.proto.v1_frames", self.v1_frames.load(Ordering::Relaxed)),
             counter("serve.avg_job_us", self.avg_job_us.load(Ordering::Relaxed)),
         ];
         out.push(counter("serve.store.enabled", u64::from(self.store().is_some())));
@@ -277,28 +270,11 @@ impl ServerHandle {
     }
 }
 
-enum Listener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf),
-}
-
-#[cfg(unix)]
-impl Listener {
-    fn raw_fd(&self) -> RawFd {
-        match self {
-            Listener::Tcp(l) => l.as_raw_fd(),
-            Listener::Unix(l, _) => l.as_raw_fd(),
-        }
-    }
-}
-
 /// The service: listeners + readiness loop + worker pool. Construct
 /// with [`Server::bind`], then block in [`Server::serve`].
 pub struct Server {
     shared: Arc<Shared>,
     listeners: Vec<Listener>,
-    tcp_addrs: Vec<SocketAddr>,
 }
 
 impl Server {
@@ -306,28 +282,7 @@ impl Server {
     /// service. Unix socket paths left over from a previous run are
     /// unlinked first.
     pub fn bind(addrs: &[Addr], cfg: ServerConfig) -> io::Result<Server> {
-        let mut listeners = Vec::new();
-        let mut tcp_addrs = Vec::new();
-        for addr in addrs {
-            match addr {
-                Addr::Tcp(hp) => {
-                    let l = TcpListener::bind(hp.as_str())?;
-                    l.set_nonblocking(true)?;
-                    tcp_addrs.push(l.local_addr()?);
-                    listeners.push(Listener::Tcp(l));
-                }
-                #[cfg(unix)]
-                Addr::Unix(path) => {
-                    let _ = std::fs::remove_file(path);
-                    let l = UnixListener::bind(path)?;
-                    l.set_nonblocking(true)?;
-                    listeners.push(Listener::Unix(l, path.clone()));
-                }
-            }
-        }
-        if listeners.is_empty() {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "no listen addresses"));
-        }
+        let listeners = Listener::bind_all(addrs)?;
         let workers = cfg.workers.max(1);
         // Open the persistent tier before serving, so recovery happens
         // once up front. An unopenable store degrades to cold serving —
@@ -376,11 +331,10 @@ impl Server {
             jobs_ok: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_rejected: AtomicU64::new(0),
-            v1_frames: AtomicU64::new(0),
             avg_job_us: AtomicU64::new(0),
             store_degraded,
         });
-        Ok(Server { shared, listeners, tcp_addrs })
+        Ok(Server { shared, listeners })
     }
 
     /// A drain handle usable from other threads (tests, signal wiring).
@@ -390,12 +344,13 @@ impl Server {
 
     /// The first bound TCP address (resolves port 0 for tests).
     pub fn local_tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp_addrs.first().copied()
+        self.listeners.iter().find_map(Listener::local_tcp_addr)
     }
 
     /// Runs the service until drained: spawns the worker pool, runs the
     /// readiness loop on the calling thread, and on drain joins every
-    /// worker before returning.
+    /// worker before returning. Unix socket files are unlinked as the
+    /// listeners drop on return.
     #[cfg(unix)]
     pub fn serve(self) -> io::Result<()> {
         let mut worker_handles = Vec::new();
@@ -422,11 +377,6 @@ impl Server {
             match tier.flush() {
                 Ok(()) => eprintln!("scc-serve: store flushed"),
                 Err(e) => eprintln!("scc-serve: store flush failed: {e}"),
-            }
-        }
-        for l in &self.listeners {
-            if let Listener::Unix(_, path) = l {
-                let _ = std::fs::remove_file(path);
             }
         }
         let m = self.shared.metrics();
@@ -460,7 +410,8 @@ fn event_loop(shared: &Arc<Shared>, listeners: &[Listener]) -> io::Result<()> {
         let draining = shared.draining();
         if draining {
             let started = *drain_started.get_or_insert_with(Instant::now);
-            sweep_for_drain(shared, &mut conns);
+            let closed = sweep_for_drain(&mut conns);
+            shared.open_conns.fetch_sub(closed, Ordering::Relaxed);
             if started.elapsed() > DRAIN_GRACE && !conns.is_empty() {
                 // The grace backstop is for clients that will not read
                 // their last response — never for connections still
@@ -498,7 +449,7 @@ fn event_loop(shared: &Arc<Shared>, listeners: &[Listener]) -> io::Result<()> {
         for l in listeners {
             // A negative fd tells poll(2) to skip the entry, which is
             // how accepting is paused without rebuilding the set.
-            let fd = if accepting { l.raw_fd() } else { -1 };
+            let fd = if accepting { l.as_raw_fd() } else { -1 };
             fds.push(sys::PollFd::new(fd, sys::POLLIN));
         }
         let conn_base = fds.len();
@@ -577,27 +528,6 @@ fn deliver_completions(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn<Strea
     }
 }
 
-/// Drain sweep: idle connections close (after flushing), connections
-/// with an outstanding job are left for their completion to finish.
-#[cfg(unix)]
-fn sweep_for_drain(shared: &Arc<Shared>, conns: &mut HashMap<u64, Conn<Stream>>) {
-    let mut closed = Vec::new();
-    for (tok, c) in conns.iter_mut() {
-        if c.awaiting_job() {
-            continue;
-        }
-        c.begin_drain();
-        let mut cb = |line: &str| handle_frame(shared, line, *tok);
-        if c.on_writable(&mut cb) == ConnStatus::Closed {
-            closed.push(*tok);
-        }
-    }
-    for tok in closed {
-        conns.remove(&tok);
-        shared.open_conns.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Accepts until `WouldBlock`, applying admission control and forcing
 /// every admitted stream nonblocking.
 #[cfg(unix)]
@@ -607,18 +537,14 @@ fn accept_all(
     conns: &mut HashMap<u64, Conn<Stream>>,
     next_token: &mut u64,
 ) -> io::Result<()> {
-    loop {
-        let Some(mut stream) = accept_one(l)? else { return Ok(()) };
+    while let Some(mut stream) = l.accept()? {
         shared.connections.fetch_add(1, Ordering::Relaxed);
         if conns.len() >= shared.cfg.max_conns {
             shared.conns_refused.fetch_add(1, Ordering::Relaxed);
             // Best-effort rejection frame; a full socket buffer on a
             // brand-new connection is not worth waiting for.
             let queued = shared.queue.lock().unwrap_or_else(|p| p.into_inner()).len();
-            // The client has not spoken yet, so its envelope version is
-            // unknown; reject in v1, which every generation parses.
             let r = error_response(
-                Proto::V1,
                 None,
                 ErrorCode::OverCapacity,
                 &format!("connection limit {} reached", shared.cfg.max_conns),
@@ -641,23 +567,7 @@ fn accept_all(
         shared.open_conns.fetch_add(1, Ordering::Relaxed);
         conns.insert(token, Conn::new(stream, MAX_FRAME_BYTES));
     }
-}
-
-#[cfg(unix)]
-fn accept_one(l: &Listener) -> io::Result<Option<Stream>> {
-    let would_block = |e: &io::Error| e.kind() == io::ErrorKind::WouldBlock;
-    match l {
-        Listener::Tcp(l) => match l.accept() {
-            Ok((s, _)) => Ok(Some(Stream::Tcp(s))),
-            Err(e) if would_block(&e) => Ok(None),
-            Err(e) => Err(e),
-        },
-        Listener::Unix(l, _) => match l.accept() {
-            Ok((s, _)) => Ok(Some(Stream::Unix(s))),
-            Err(e) if would_block(&e) => Ok(None),
-            Err(e) => Err(e),
-        },
-    }
+    Ok(())
 }
 
 /// Parses and dispatches one request frame: most verbs are answered
@@ -666,59 +576,44 @@ fn accept_one(l: &Listener) -> io::Result<Option<Stream>> {
 fn handle_frame(shared: &Shared, line: &str, token: u64) -> FrameDisposition {
     use FrameDisposition::Reply;
     shared.requests.fetch_add(1, Ordering::Relaxed);
-    let frame = match parse_request(line) {
-        Ok(f) => f,
-        Err(e) => {
-            return Reply(error_response(e.proto, e.id.as_deref(), e.code, &e.message, None))
-        }
+    let request = match parse_request(line) {
+        Ok(r) => r,
+        Err(e) => return Reply(e.response()),
     };
-    let proto = frame.proto;
-    if proto == Proto::V1 {
-        shared.v1_frames.fetch_add(1, Ordering::Relaxed);
-    }
-    match frame.request {
+    match request {
         Request::Health => {
             let status = if shared.draining() { "draining" } else { "ok" };
-            Reply(ok_response(proto, &format!("\"status\":\"{status}\"")))
+            Reply(ok_response(&format!("\"status\":\"{status}\"")))
         }
-        Request::Stats => Reply(ok_response(
-            proto,
-            &format!("\"stats\":{}", metrics_object(&shared.metrics())),
-        )),
+        Request::Stats => {
+            Reply(ok_response(&format!("\"stats\":{}", metrics_object(&shared.metrics()))))
+        }
         Request::Persist => Reply(match shared.store() {
             Some(tier) => match tier.flush() {
-                Ok(()) => ok_response(
-                    proto,
-                    &format!("\"status\":\"persisted\",\"writes\":{}", tier.store_stats().puts),
-                ),
-                Err(e) => error_response(
-                    proto,
-                    None,
-                    ErrorCode::StoreIo,
-                    &format!("store flush failed: {e}"),
-                    None,
-                ),
+                Ok(()) => ok_response(&format!(
+                    "\"status\":\"persisted\",\"writes\":{}",
+                    tier.store_stats().puts
+                )),
+                Err(e) => {
+                    error_response(None, ErrorCode::StoreIo, &format!("store flush failed: {e}"), None)
+                }
             },
-            None => store_unavailable(shared, proto),
+            None => store_unavailable(shared),
         }),
         Request::Warm => Reply(match shared.store() {
             Some(_) => match shared.runner.warm_from_store() {
-                Ok(n) => ok_response(proto, &format!("\"status\":\"warmed\",\"entries\":{n}")),
-                Err(e) => error_response(
-                    proto,
-                    None,
-                    ErrorCode::StoreIo,
-                    &format!("store warm failed: {e}"),
-                    None,
-                ),
+                Ok(n) => ok_response(&format!("\"status\":\"warmed\",\"entries\":{n}")),
+                Err(e) => {
+                    error_response(None, ErrorCode::StoreIo, &format!("store warm failed: {e}"), None)
+                }
             },
-            None => store_unavailable(shared, proto),
+            None => store_unavailable(shared),
         }),
         Request::Shutdown => {
             let _guard = shared.queue.lock().unwrap_or_else(|p| p.into_inner());
             shared.drain.store(true, Ordering::SeqCst);
             shared.work_ready.notify_all();
-            Reply(ok_response(proto, "\"status\":\"draining\""))
+            Reply(ok_response("\"status\":\"draining\""))
         }
         Request::Key(req) => {
             // The key is computed exactly as the execution path would:
@@ -728,7 +623,6 @@ fn handle_frame(shared: &Shared, line: &str, token: u64) -> FrameDisposition {
             let id = req.id.clone();
             if let Err(e) = validate_workload_name(&req.workload) {
                 return Reply(error_response(
-                    proto,
                     id.as_deref(),
                     ErrorCode::from_job_error(&e),
                     &e.to_string(),
@@ -736,16 +630,16 @@ fn handle_frame(shared: &Shared, line: &str, token: u64) -> FrameDisposition {
                 ));
             }
             let key = run_key(&req, shared.cfg.max_cycles);
-            Reply(key_response(proto, id.as_deref(), &key))
+            Reply(key_response(id.as_deref(), &key))
         }
         Request::KeyTrace(req) => {
             // The payload was fully validated at parse time, so the key
             // is always computable — no workload-name check applies.
             let key = trace_key(&req, shared.cfg.max_cycles);
-            Reply(key_response(proto, req.id.as_deref(), &key))
+            Reply(key_response(req.id.as_deref(), &key))
         }
-        Request::Run(run) => submit_run(shared, proto, run, None, token),
-        Request::RunTrace(tr) => submit_trace(shared, proto, tr, token),
+        Request::Run(run) => submit_run(shared, run, None, token),
+        Request::RunTrace(tr) => submit_trace(shared, tr, token),
     }
 }
 
@@ -753,12 +647,7 @@ fn handle_frame(shared: &Shared, line: &str, token: u64) -> FrameDisposition {
 /// job: the decoded program becomes a [`Workload`] named by content
 /// digest, and everything downstream (queueing, deadline handling, the
 /// cache fast path, store write-through) is the `run` path verbatim.
-fn submit_trace(
-    shared: &Shared,
-    proto: Proto,
-    tr: TraceRequest,
-    token: u64,
-) -> FrameDisposition {
+fn submit_trace(shared: &Shared, tr: TraceRequest, token: u64) -> FrameDisposition {
     let req = tr.as_run_request();
     let trace = match scc_lang::trace::decode(&tr.trace_bytes) {
         Ok(t) => t,
@@ -766,7 +655,6 @@ fn submit_trace(
         Err(e) => {
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             return FrameDisposition::Reply(error_response(
-                proto,
                 req.id.as_deref(),
                 ErrorCode::BadTrace,
                 &format!("invalid SCCTRACE1 payload: {e}"),
@@ -781,25 +669,24 @@ fn submit_trace(
         description: "ingested SCCTRACE1 program",
         scale: Scale::custom(req.iters),
     };
-    submit_run(shared, proto, req, Some(workload), token)
+    submit_run(shared, req, Some(workload), token)
 }
 
 /// The `persist`/`warm` rejection when no store tier is attached —
 /// distinguishing "never configured" from "configured but degraded".
-fn store_unavailable(shared: &Shared, proto: Proto) -> String {
+fn store_unavailable(shared: &Shared) -> String {
     let message = if shared.store_degraded {
         "persistent store failed to open at startup; serving cold"
     } else {
         "no persistent store attached (start scc-serve with --store-dir)"
     };
-    error_response(proto, None, ErrorCode::StoreUnavailable, message, None)
+    error_response(None, ErrorCode::StoreUnavailable, message, None)
 }
 
 /// Validates and enqueues one `run` request; the response arrives via
 /// the completion path once a worker finishes it.
 fn submit_run(
     shared: &Shared,
-    proto: Proto,
     req: RunRequest,
     workload: Option<Workload>,
     token: u64,
@@ -815,7 +702,6 @@ fn submit_run(
         if let Err(e) = validate_workload_name(&req.workload) {
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             return Reply(error_response(
-                proto,
                 id.as_deref(),
                 ErrorCode::from_job_error(&e),
                 &e.to_string(),
@@ -831,7 +717,6 @@ fn submit_run(
         // observe this enqueue before exiting.
         if shared.draining() {
             return Reply(error_response(
-                proto,
                 id.as_deref(),
                 ErrorCode::Draining,
                 "server is draining; submit to another instance",
@@ -842,14 +727,13 @@ fn submit_run(
             shared.jobs_rejected.fetch_add(1, Ordering::Relaxed);
             let hint = shared.retry_after_ms(q.len());
             return Reply(error_response(
-                proto,
                 id.as_deref(),
                 ErrorCode::QueueFull,
                 &format!("queue at capacity ({})", shared.cfg.queue_depth),
                 Some(hint),
             ));
         }
-        q.push_back(QueuedJob { proto, req, workload, deadline, token });
+        q.push_back(QueuedJob { req, workload, deadline, token });
     }
     shared.work_ready.notify_one();
     JobQueued
@@ -884,7 +768,6 @@ fn worker_loop(shared: &Shared) {
         .unwrap_or_else(|_| {
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             error_response(
-                qj.proto,
                 qj.req.id.as_deref(),
                 ErrorCode::InternalError,
                 "job execution panicked",
@@ -900,13 +783,11 @@ fn worker_loop(shared: &Shared) {
 /// Executes one popped job on the shared runner.
 fn execute_job(shared: &Shared, qj: &QueuedJob) -> String {
     let req = &qj.req;
-    let proto = qj.proto;
     let id = req.id.as_deref();
     if let Some(d) = qj.deadline {
         if Instant::now() >= d {
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
             return error_response(
-                proto,
                 id,
                 ErrorCode::DeadlineExceeded,
                 "deadline expired while queued",
@@ -923,7 +804,7 @@ fn execute_job(shared: &Shared, qj: &QueuedJob) -> String {
     if !req.audit {
         if let Some(hit) = shared.runner.try_cached(&run_key(req, shared.cfg.max_cycles), id) {
             shared.jobs_ok.fetch_add(1, Ordering::Relaxed);
-            return run_one_response(proto, id, &hit);
+            return run_one_response(id, &hit);
         }
     }
     let workload = match &qj.workload {
@@ -934,13 +815,7 @@ fn execute_job(shared: &Shared, qj: &QueuedJob) -> String {
             Ok(w) => w,
             Err(e) => {
                 shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
-                return error_response(
-                    proto,
-                    id,
-                    ErrorCode::from_job_error(&e),
-                    &e.to_string(),
-                    None,
-                );
+                return error_response(id, ErrorCode::from_job_error(&e), &e.to_string(), None);
             }
         },
     };
@@ -950,11 +825,11 @@ fn execute_job(shared: &Shared, qj: &QueuedJob) -> String {
     match shared.runner.run_fresh(&job, qj.deadline, id, req.audit) {
         Ok(one) => {
             shared.jobs_ok.fetch_add(1, Ordering::Relaxed);
-            run_one_response(proto, id, &one)
+            run_one_response(id, &one)
         }
         Err(e) => {
             shared.jobs_failed.fetch_add(1, Ordering::Relaxed);
-            error_response(proto, id, ErrorCode::from_job_error(&e), &e.to_string(), None)
+            error_response(id, ErrorCode::from_job_error(&e), &e.to_string(), None)
         }
     }
 }

@@ -98,7 +98,7 @@ fn wait_until(what: &str, mut probe: impl FnMut() -> bool) -> io::Result<()> {
 
 fn healthy(addr: &Addr) -> bool {
     Client::connect_with_timeout(addr, Duration::from_secs(5))
-        .and_then(|mut c| c.request_json("{\"verb\":\"health\"}"))
+        .and_then(|mut c| c.request_json("{\"proto\":2,\"verb\":\"health\"}"))
         .ok()
         .and_then(|h| h.get("ok").and_then(Json::as_bool))
         == Some(true)
@@ -176,7 +176,7 @@ impl Topology {
     /// non-zero.
     pub fn shutdown(mut self) -> io::Result<()> {
         Client::connect_with_timeout(&self.router_addr, SPAWN_DEADLINE)?
-            .request("{\"verb\":\"shutdown\"}")?;
+            .request("{\"proto\":2,\"verb\":\"shutdown\"}")?;
         let deadline = Instant::now() + SPAWN_DEADLINE;
         // Reap in reverse spawn order: the router exits first, and its
         // closing upstream connections are what release the shards'

@@ -241,12 +241,13 @@ fn oversized_frames_get_an_error_then_a_close_after_flush() {
     assert_eq!(conn.on_readable(&mut on_frame), ConnStatus::Closed);
     let responses = conn.stream().responses();
     assert_eq!(responses.len(), 1);
-    let kind = responses[0]
+    assert_eq!(responses[0].get("proto").and_then(Json::as_u64), Some(2));
+    let code = responses[0]
         .get("error")
-        .and_then(|e| e.get("kind"))
+        .and_then(|e| e.get("code"))
         .and_then(Json::as_str)
         .map(str::to_string);
-    assert_eq!(kind.as_deref(), Some("oversized_frame"));
+    assert_eq!(code.as_deref(), Some("oversized_frame"));
 }
 
 #[test]
@@ -265,12 +266,13 @@ fn bad_utf8_is_answered_and_parsing_continues() {
     let written = String::from_utf8(conn.stream().written.clone()).unwrap();
     let mut lines = written.lines();
     let error = Json::parse(lines.next().unwrap()).unwrap();
-    let kind = error
+    assert_eq!(error.get("proto").and_then(Json::as_u64), Some(2));
+    let code = error
         .get("error")
-        .and_then(|e| e.get("kind"))
+        .and_then(|e| e.get("code"))
         .and_then(Json::as_str)
         .map(str::to_string);
-    assert_eq!(kind.as_deref(), Some("bad_frame"));
+    assert_eq!(code.as_deref(), Some("bad_frame"));
     assert_eq!(lines.next(), Some("echo:ok"));
 }
 

@@ -77,7 +77,7 @@ fn a_thousand_connections_share_one_io_thread_byte_identically() {
     for (i, s) in conns.iter_mut().enumerate() {
         let iters = BASE_ITERS + (i as i64 % SHAPES);
         let req = format!(
-            "{{\"verb\":\"run\",\"id\":\"hc-{i}\",\"workload\":\"freqmine\",\"iters\":{iters},\"level\":\"full-scc\"}}\n"
+            "{{\"proto\":2,\"verb\":\"run\",\"id\":\"hc-{i}\",\"workload\":\"freqmine\",\"iters\":{iters},\"level\":\"full-scc\"}}\n"
         );
         s.write_all(req.as_bytes()).unwrap_or_else(|e| panic!("write {i}: {e}"));
     }
@@ -88,7 +88,7 @@ fn a_thousand_connections_share_one_io_thread_byte_identically() {
     let mut failures = Vec::new();
     for (i, s) in conns.into_iter().enumerate() {
         let shape = i % SHAPES as usize;
-        let want = run_response(Proto::V1, Some(&format!("hc-{i}")), &direct[shape], None);
+        let want = run_response(Proto::V2, Some(&format!("hc-{i}")), &direct[shape], None);
         let mut r = BufReader::new(s);
         let mut line = String::new();
         match r.read_line(&mut line) {

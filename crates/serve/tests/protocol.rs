@@ -40,7 +40,7 @@ fn expected_run_response(id: &str, workload: &str, iters: i64, level: scc_sim::O
     let opts = SimOptions::new(level);
     let job = Job::new(&w, &opts);
     let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
-    run_response(Proto::V1, Some(id), &one.result, None)
+    run_response(Proto::V2, Some(id), &one.result, None)
 }
 
 fn drain_and_join(handle: &ServerHandle, join: thread::JoinHandle<io::Result<()>>) {
@@ -53,7 +53,7 @@ fn drain_and_join(handle: &ServerHandle, join: thread::JoinHandle<io::Result<()>
 fn wait_for(probe: &mut Client, pred: impl Fn(&Json) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let s = probe.request_json("{\"verb\":\"stats\"}").unwrap();
+        let s = probe.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
         let stats = s.get("stats").expect("stats object");
         if pred(stats) {
             return;
@@ -68,15 +68,15 @@ fn health_stats_and_malformed_frames_share_a_connection() {
     let (addr, handle, join) = start(small_cfg());
     let mut c = Client::connect(&addr).unwrap();
 
-    let h = c.request_json("{\"verb\":\"health\"}").unwrap();
+    let h = c.request_json("{\"proto\":2,\"verb\":\"health\"}").unwrap();
     assert_eq!(h.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(h.get("status").and_then(Json::as_str), Some("ok"));
 
     // Malformed JSON → typed bad_frame, and the connection survives.
-    let e = c.request_json("{\"verb\":").unwrap();
+    let e = c.request_json("{\"proto\":2,\"verb\":").unwrap();
     assert_eq!(e.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(
-        e.get("error").and_then(|x| x.get("kind")).and_then(Json::as_str),
+        e.get("error").and_then(|x| x.get("code")).and_then(Json::as_str),
         Some("bad_frame")
     );
 
@@ -84,20 +84,20 @@ fn health_stats_and_malformed_frames_share_a_connection() {
     c.send_raw(b"\xff\xfe\n").unwrap();
     let e = Json::parse(&c.read_response().unwrap()).unwrap();
     assert_eq!(
-        e.get("error").and_then(|x| x.get("kind")).and_then(Json::as_str),
+        e.get("error").and_then(|x| x.get("code")).and_then(Json::as_str),
         Some("bad_frame")
     );
 
     // Unknown verb → typed error carrying the request id.
-    let e = c.request_json("{\"verb\":\"dance\",\"id\":\"r-7\"}").unwrap();
+    let e = c.request_json("{\"proto\":2,\"verb\":\"dance\",\"id\":\"r-7\"}").unwrap();
     assert_eq!(
-        e.get("error").and_then(|x| x.get("kind")).and_then(Json::as_str),
+        e.get("error").and_then(|x| x.get("code")).and_then(Json::as_str),
         Some("unknown_verb")
     );
     assert_eq!(e.get("id").and_then(Json::as_str), Some("r-7"));
 
     // Stats exposes the queue and cache registries.
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     let stats = s.get("stats").expect("stats object");
     assert_eq!(stats.get("serve.workers").and_then(Json::as_u64), Some(2));
     assert_eq!(stats.get("serve.queue.depth").and_then(Json::as_u64), Some(8));
@@ -107,21 +107,47 @@ fn health_stats_and_malformed_frames_share_a_connection() {
 }
 
 #[test]
+fn frames_outside_the_v2_envelope_are_rejected_and_serving_continues() {
+    let (addr, handle, join) = start(small_cfg());
+    let mut c = Client::connect(&addr).unwrap();
+    for line in [
+        "{\"verb\":\"health\",\"id\":\"old-1\"}",
+        "{\"proto\":1,\"verb\":\"health\",\"id\":\"old-1\"}",
+        "{\"proto\":3,\"verb\":\"health\",\"id\":\"old-1\"}",
+    ] {
+        let e = c.request_json(line).unwrap();
+        assert_eq!(e.get("ok").and_then(Json::as_bool), Some(false), "{line}");
+        assert_eq!(e.get("proto").and_then(Json::as_u64), Some(2), "{line}");
+        assert_eq!(e.get("id").and_then(Json::as_str), Some("old-1"), "{line}");
+        assert_eq!(
+            e.get("error").and_then(|x| x.get("code")).and_then(Json::as_str),
+            Some("unsupported_proto"),
+            "{line}"
+        );
+        // The same connection keeps serving v2 frames.
+        let h = c.request_json("{\"proto\":2,\"verb\":\"health\"}").unwrap();
+        assert_eq!(h.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(h.get("status").and_then(Json::as_str), Some("ok"));
+    }
+    drain_and_join(&handle, join);
+}
+
+#[test]
 fn unknown_workloads_are_clean_protocol_errors() {
     let (addr, handle, join) = start(small_cfg());
     let mut c = Client::connect(&addr).unwrap();
     let e = c
-        .request_json("{\"verb\":\"run\",\"id\":\"bad-wl\",\"workload\":\"frobnicate\"}")
+        .request_json("{\"proto\":2,\"verb\":\"run\",\"id\":\"bad-wl\",\"workload\":\"frobnicate\"}")
         .unwrap();
     assert_eq!(e.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(
-        e.get("error").and_then(|x| x.get("kind")).and_then(Json::as_str),
+        e.get("error").and_then(|x| x.get("code")).and_then(Json::as_str),
         Some("unknown_workload")
     );
     assert_eq!(e.get("id").and_then(Json::as_str), Some("bad-wl"));
     // The connection is still good for a real job afterwards.
     let ok = c
-        .request_json("{\"verb\":\"run\",\"id\":\"after\",\"workload\":\"freqmine\",\"iters\":120}")
+        .request_json("{\"proto\":2,\"verb\":\"run\",\"id\":\"after\",\"workload\":\"freqmine\",\"iters\":120}")
         .unwrap();
     assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
     drain_and_join(&handle, join);
@@ -133,11 +159,11 @@ fn truncated_frames_are_discarded_not_executed() {
     let mut c = Client::connect(&addr).unwrap();
     // A half-sent request with no newline: the server must not act on
     // it; closing the write half leads to EOF with no response.
-    c.send_raw(b"{\"verb\":\"run\",\"workload\":\"freq").unwrap();
+    c.send_raw(b"{\"proto\":2,\"verb\":\"run\",\"workload\":\"freq").unwrap();
     drop(c);
     // The server is still healthy for the next client.
     let mut c2 = Client::connect(&addr).unwrap();
-    let h = c2.request_json("{\"verb\":\"health\"}").unwrap();
+    let h = c2.request_json("{\"proto\":2,\"verb\":\"health\"}").unwrap();
     assert_eq!(h.get("status").and_then(Json::as_str), Some("ok"));
     drain_and_join(&handle, join);
 }
@@ -150,7 +176,7 @@ fn oversized_frames_get_a_typed_error_then_the_connection_closes() {
     c.send_raw(&huge).unwrap();
     let e = Json::parse(&c.read_response().unwrap()).unwrap();
     assert_eq!(
-        e.get("error").and_then(|x| x.get("kind")).and_then(Json::as_str),
+        e.get("error").and_then(|x| x.get("code")).and_then(Json::as_str),
         Some("oversized_frame")
     );
     // Mid-frame recovery is impossible; the server hangs up.
@@ -174,7 +200,7 @@ fn concurrent_clients_get_byte_identical_reports_to_direct_execution() {
                 let iters = 90 + (conn % 4) as i64 * 10;
                 let id = format!("c{conn}-r{seq}");
                 let line = format!(
-                    "{{\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters},\"level\":\"full-scc\"}}"
+                    "{{\"proto\":2,\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters},\"level\":\"full-scc\"}}"
                 );
                 let resp = c.request(&line)?;
                 got.push((id, format!("{resp}\n")));
@@ -216,7 +242,7 @@ fn a_full_queue_rejects_with_a_retry_hint() {
         thread::spawn(move || {
             let mut c = Client::connect(&addr).unwrap();
             c.request_json(
-                "{\"verb\":\"run\",\"id\":\"blocker\",\"workload\":\"freqmine\",\"iters\":60011}",
+                "{\"proto\":2,\"verb\":\"run\",\"id\":\"blocker\",\"workload\":\"freqmine\",\"iters\":60011}",
             )
             .unwrap()
         })
@@ -233,7 +259,7 @@ fn a_full_queue_rejects_with_a_retry_hint() {
                 s.get("serve.in_flight").and_then(Json::as_u64) == Some(1)
             });
             c.request_json(
-                "{\"verb\":\"run\",\"id\":\"filler\",\"workload\":\"freqmine\",\"iters\":60012}",
+                "{\"proto\":2,\"verb\":\"run\",\"id\":\"filler\",\"workload\":\"freqmine\",\"iters\":60012}",
             )
             .unwrap()
         })
@@ -249,11 +275,11 @@ fn a_full_queue_rejects_with_a_retry_hint() {
     // ...and overflow it.
     let mut c = Client::connect(&addr).unwrap();
     let e = c
-        .request_json("{\"verb\":\"run\",\"id\":\"overflow\",\"workload\":\"freqmine\",\"iters\":8013}")
+        .request_json("{\"proto\":2,\"verb\":\"run\",\"id\":\"overflow\",\"workload\":\"freqmine\",\"iters\":8013}")
         .unwrap();
     assert_eq!(e.get("ok").and_then(Json::as_bool), Some(false), "overflow response: {e:?}");
     let err = e.get("error").expect("error object");
-    assert_eq!(err.get("kind").and_then(Json::as_str), Some("queue_full"));
+    assert_eq!(err.get("code").and_then(Json::as_str), Some("queue_full"));
     let hint = err.get("retry_after_ms").and_then(Json::as_u64).expect("retry hint");
     assert!(hint >= 10, "retry_after_ms = {hint}");
 
@@ -274,12 +300,12 @@ fn deadline_exceeded_is_reported_and_does_not_poison_the_cache() {
     // while queued — both are deadline_exceeded on the wire).
     let e = c
         .request_json(
-            "{\"verb\":\"run\",\"id\":\"dl\",\"workload\":\"freqmine\",\"iters\":8021,\"deadline_ms\":1}",
+            "{\"proto\":2,\"verb\":\"run\",\"id\":\"dl\",\"workload\":\"freqmine\",\"iters\":8021,\"deadline_ms\":1}",
         )
         .unwrap();
     assert_eq!(e.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(
-        e.get("error").and_then(|x| x.get("kind")).and_then(Json::as_str),
+        e.get("error").and_then(|x| x.get("code")).and_then(Json::as_str),
         Some("deadline_exceeded")
     );
 
@@ -287,7 +313,7 @@ fn deadline_exceeded_is_reported_and_does_not_poison_the_cache() {
     // and match direct execution exactly — a cancelled run must never
     // have published a partial result into the shared cache.
     let resp = c
-        .request("{\"verb\":\"run\",\"id\":\"dl\",\"workload\":\"freqmine\",\"iters\":8021}")
+        .request("{\"proto\":2,\"verb\":\"run\",\"id\":\"dl\",\"workload\":\"freqmine\",\"iters\":8021}")
         .unwrap();
     let expected = expected_run_response("dl", "freqmine", 8021, scc_sim::OptLevel::Full);
     assert_eq!(format!("{resp}\n"), expected);
@@ -300,7 +326,7 @@ fn audited_runs_return_the_decision_log() {
     let mut c = Client::connect(&addr).unwrap();
     let r = c
         .request_json(
-            "{\"verb\":\"run\",\"id\":\"aud\",\"workload\":\"freqmine\",\"iters\":130,\"audit\":true}",
+            "{\"proto\":2,\"verb\":\"run\",\"id\":\"aud\",\"workload\":\"freqmine\",\"iters\":130,\"audit\":true}",
         )
         .unwrap();
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
@@ -322,7 +348,7 @@ fn shutdown_drains_finishing_in_flight_work() {
         thread::spawn(move || {
             let mut c = Client::connect(&addr).unwrap();
             c.request_json(
-                "{\"verb\":\"run\",\"id\":\"inflight\",\"workload\":\"freqmine\",\"iters\":8031}",
+                "{\"proto\":2,\"verb\":\"run\",\"id\":\"inflight\",\"workload\":\"freqmine\",\"iters\":8031}",
             )
             .unwrap()
         })
@@ -331,7 +357,7 @@ fn shutdown_drains_finishing_in_flight_work() {
 
     // ...then a second connection orders the drain.
     let mut c = Client::connect(&addr).unwrap();
-    let d = c.request_json("{\"verb\":\"shutdown\"}").unwrap();
+    let d = c.request_json("{\"proto\":2,\"verb\":\"shutdown\"}").unwrap();
     assert_eq!(d.get("status").and_then(Json::as_str), Some("draining"));
 
     // The in-flight job still completes successfully.

@@ -1,7 +1,7 @@
 //! Byte pins for the `run` reply renderer.
 //!
-//! The v1 and v2 `run` frames of one small and one large result must
-//! match `tests/golden/run_frames.ndjson` byte for byte. The results are
+//! The `run` frames of one small and one large result must match
+//! `tests/golden/run_frames.ndjson` byte for byte. The results are
 //! synthetic — every counter, energy term, register and memory word is
 //! set by formula — so the pin depends on the renderer alone, never on
 //! the simulator. Re-bless only for a deliberate wire change:
@@ -124,10 +124,8 @@ fn frames() -> Vec<String> {
     let (s, l) = (small(), large());
     let audit = "{\"a\":1}\n\n{\"b\":\"x\"}\n";
     vec![
-        run_response(Proto::V1, Some("g-1"), &s, None),
         run_response(Proto::V2, Some("g\"2"), &s, None),
         run_response(Proto::V2, Some("g-3"), &s, Some(audit)),
-        run_response(Proto::V1, None, &l, None),
         run_response(Proto::V2, Some("g-5"), &l, None),
     ]
 }
@@ -163,11 +161,9 @@ fn memoised_digest_replies_match_the_pinned_frames() {
     };
     let audit = "{\"a\":1}\n\n{\"b\":\"x\"}\n";
     let replies = [
-        run_one_response(Proto::V1, Some("g-1"), &one(small(), None)),
-        run_one_response(Proto::V2, Some("g\"2"), &one(small(), None)),
-        run_one_response(Proto::V2, Some("g-3"), &one(small(), Some(audit))),
-        run_one_response(Proto::V1, None, &one(large(), None)),
-        run_one_response(Proto::V2, Some("g-5"), &one(large(), None)),
+        run_one_response(Some("g\"2"), &one(small(), None)),
+        run_one_response(Some("g-3"), &one(small(), Some(audit))),
+        run_one_response(Some("g-5"), &one(large(), None)),
     ];
     assert_eq!(replies.concat(), frames().concat());
     // `report_json` is the same object the frames embed.

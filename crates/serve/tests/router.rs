@@ -53,7 +53,7 @@ fn wait_for_stats(addr: &Addr, pred: impl Fn(&Json) -> bool) {
     loop {
         // Reconnect each probe: the router may be mid-recovery.
         if let Ok(mut c) = Client::connect(addr) {
-            if let Ok(s) = c.request_json("{\"verb\":\"stats\"}") {
+            if let Ok(s) = c.request_json("{\"proto\":2,\"verb\":\"stats\"}") {
                 let stats = s.get("stats").expect("stats object");
                 if pred(stats) {
                     return;
@@ -77,13 +77,13 @@ fn shape(i: i64) -> (String, String) {
     let id = format!("rt-{i}");
     let iters = 120 + (i % 8);
     let req = format!(
-        "{{\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters},\"level\":\"full-scc\"}}\n"
+        "{{\"proto\":2,\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters},\"level\":\"full-scc\"}}\n"
     );
     let w = resolve_workload("freqmine", Scale::custom(iters)).expect("workload");
     let opts = SimOptions::new(OptLevel::Full);
     let job = Job::new(&w, &opts);
     let one = Runner::new().run_fresh(&job, None, Some(&id), false).expect("direct run");
-    (req, run_response(Proto::V1, Some(&id), &one.result, None))
+    (req, run_response(Proto::V2, Some(&id), &one.result, None))
 }
 
 /// The ring shard a freqmine/full-scc shape with these iters lands on,
@@ -168,7 +168,7 @@ fn routed_responses_are_byte_identical_at_256_connections() {
 
     // Per-shard counters prove the work actually spread across shards.
     let mut c = Client::connect(&ra).unwrap();
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     let stats = s.get("stats").unwrap();
     let fwd0 = stats.get("route.shard.0.forwarded").and_then(Json::as_u64).unwrap();
     let fwd1 = stats.get("route.shard.1.forwarded").and_then(Json::as_u64).unwrap();
@@ -205,7 +205,7 @@ fn pipelined_requests_across_shards_come_back_in_order() {
         let id = format!("ord-{round}");
         let got = c
             .request_json(&format!(
-                "{{\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters}}}"
+                "{{\"proto\":2,\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters}}}"
             ))
             .unwrap();
         assert_eq!(got.get("ok").and_then(Json::as_bool), Some(true), "{got:?}");
@@ -228,7 +228,7 @@ fn key_verb_agrees_between_router_shard_and_ring() {
     let (ra, rh, rj) = start_router(vec![a0.clone()], 1);
     wait_for_stats(&ra, shards_up(1));
 
-    let req = "{\"verb\":\"key\",\"id\":\"k\",\"workload\":\"freqmine\",\"iters\":321,\"level\":\"full-scc\"}";
+    let req = "{\"proto\":2,\"verb\":\"key\",\"id\":\"k\",\"workload\":\"freqmine\",\"iters\":321,\"level\":\"full-scc\"}";
     let via_router = Client::connect(&ra).unwrap().request_json(req).unwrap();
     let via_shard = Client::connect(&a0).unwrap().request_json(req).unwrap();
     let rk = via_router.get("key").and_then(Json::as_str).unwrap().to_string();
@@ -256,7 +256,7 @@ fn a_dead_shard_degrades_to_typed_errors_and_recovers() {
 
     let (k0, k1) = one_key_per_shard();
     let run_frame = |id: &str, iters: i64| {
-        format!("{{\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters}}}")
+        format!("{{\"proto\":2,\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters}}}")
     };
 
     // Kill shard 0 directly (not through the router): the router finds
@@ -270,7 +270,7 @@ fn a_dead_shard_degrades_to_typed_errors_and_recovers() {
     let e = c.request_json(&run_frame("dead", k0)).unwrap();
     assert_eq!(e.get("ok").and_then(Json::as_bool), Some(false), "{e:?}");
     let err = e.get("error").expect("error object");
-    assert_eq!(err.get("kind").and_then(Json::as_str), Some("shard_unavailable"));
+    assert_eq!(err.get("code").and_then(Json::as_str), Some("shard_unavailable"));
     let hint = err.get("retry_after_ms").and_then(Json::as_u64).expect("retry hint");
     assert!(hint > 0 && hint <= 30_000, "retry_after_ms = {hint}");
 
@@ -304,7 +304,7 @@ fn a_dead_shard_degrades_to_typed_errors_and_recovers() {
 
     // The router observed real failures and real reconnects.
     let mut cs = Client::connect(&ra).unwrap();
-    let s = cs.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = cs.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     let stats = s.get("stats").unwrap();
     assert!(stats.get("route.upstream.failures").and_then(Json::as_u64).unwrap() > 0);
     assert!(stats.get("route.shard_unavailable").and_then(Json::as_u64).unwrap() > 0);
@@ -327,7 +327,7 @@ fn the_shutdown_verb_drains_router_and_shards() {
     // The wire verb, not the in-process handle: this is the path
     // `scc-load --shards` and operators use.
     let mut c = Client::connect(&ra).unwrap();
-    let ack = c.request_json("{\"verb\":\"shutdown\"}").unwrap();
+    let ack = c.request_json("{\"proto\":2,\"verb\":\"shutdown\"}").unwrap();
     assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true), "{ack:?}");
     assert_eq!(ack.get("status").and_then(Json::as_str), Some("draining"));
     drop(c);
@@ -355,6 +355,14 @@ fn v2_frames_route_with_v2_responses() {
     // The shard echoes the v2 envelope straight through the router.
     assert_eq!(got.get("proto").and_then(Json::as_u64), Some(2));
     assert_eq!(got.get("id").and_then(Json::as_str), Some("v2"));
+    // The router speaks only this envelope too.
+    let e = c.request_json("{\"verb\":\"health\",\"id\":\"old\"}").unwrap();
+    assert_eq!(e.get("proto").and_then(Json::as_u64), Some(2));
+    assert_eq!(e.get("id").and_then(Json::as_str), Some("old"));
+    assert_eq!(
+        e.get("error").and_then(|x| x.get("code")).and_then(Json::as_str),
+        Some("unsupported_proto")
+    );
 
     rh.drain();
     rj.join().unwrap().unwrap();

@@ -53,7 +53,7 @@ fn drain_and_join(handle: &ServerHandle, join: thread::JoinHandle<io::Result<()>
 
 fn run_line(id: &str, iters: i64) -> String {
     format!(
-        "{{\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters},\"level\":\"full-scc\"}}"
+        "{{\"proto\":2,\"verb\":\"run\",\"id\":\"{id}\",\"workload\":\"freqmine\",\"iters\":{iters},\"level\":\"full-scc\"}}"
     )
 }
 
@@ -64,7 +64,7 @@ fn expected_run_response(id: &str, iters: i64) -> String {
     let w = resolve_workload("freqmine", Scale::custom(iters)).expect("workload");
     let job = Job::new(&w, &SimOptions::new(scc_sim::OptLevel::Full));
     let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
-    run_response(Proto::V1, Some(id), &one.result, None)
+    run_response(Proto::V2, Some(id), &one.result, None)
 }
 
 fn stat(j: &Json, name: &str) -> u64 {
@@ -81,7 +81,7 @@ fn persist_and_warm_verbs_round_trip_through_the_store() {
     let mut c = Client::connect(&addr).unwrap();
 
     // Store-backed server advertises the tier in stats.
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     assert_eq!(stat(&s, "serve.store.enabled"), 1);
     assert_eq!(stat(&s, "serve.store.degraded"), 0);
     assert_eq!(stat(&s, "runner.store.writes"), 0);
@@ -89,21 +89,21 @@ fn persist_and_warm_verbs_round_trip_through_the_store() {
     // A fresh run writes through to the store.
     let r = c.request_json(&run_line("w-1", 4101)).unwrap();
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     assert_eq!(stat(&s, "runner.store.writes"), 1);
 
     // `persist` fsyncs and reports the write count.
-    let p = c.request_json("{\"verb\":\"persist\"}").unwrap();
+    let p = c.request_json("{\"proto\":2,\"verb\":\"persist\"}").unwrap();
     assert_eq!(p.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(p.get("status").and_then(Json::as_str), Some("persisted"));
     assert_eq!(p.get("writes").and_then(Json::as_u64), Some(1));
 
     // `warm` promotes every live record into the LRU.
-    let w = c.request_json("{\"verb\":\"warm\"}").unwrap();
+    let w = c.request_json("{\"proto\":2,\"verb\":\"warm\"}").unwrap();
     assert_eq!(w.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(w.get("status").and_then(Json::as_str), Some("warmed"));
     assert_eq!(w.get("entries").and_then(Json::as_u64), Some(1));
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     assert_eq!(stat(&s, "runner.store.preloaded"), 1);
 
     drain_and_join(&handle, join);
@@ -125,7 +125,7 @@ fn warm_started_server_is_byte_identical_to_direct_execution() {
     let (addr, handle, join) = start(store_cfg(&dir));
     let mut c = Client::connect(&addr).unwrap();
     let warm = format!("{}\n", c.request(&run_line("ws-1", 4102)).unwrap());
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     assert_eq!(
         stat(&s, "runner.store.hits"),
         1,
@@ -151,7 +151,7 @@ fn unopenable_store_dir_degrades_to_cold_serving() {
     let (addr, handle, join) = start(store_cfg(&file));
     let mut c = Client::connect(&addr).unwrap();
 
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     assert_eq!(stat(&s, "serve.store.enabled"), 0);
     assert_eq!(stat(&s, "serve.store.degraded"), 1);
 
@@ -161,10 +161,10 @@ fn unopenable_store_dir_degrades_to_cold_serving() {
 
     // Store verbs are clean typed errors, naming the degradation.
     for verb in ["persist", "warm"] {
-        let e = c.request_json(&format!("{{\"verb\":\"{verb}\"}}")).unwrap();
+        let e = c.request_json(&format!("{{\"proto\":2,\"verb\":\"{verb}\"}}")).unwrap();
         assert_eq!(e.get("ok").and_then(Json::as_bool), Some(false));
         let err = e.get("error").expect("error object");
-        assert_eq!(err.get("kind").and_then(Json::as_str), Some("store_unavailable"));
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("store_unavailable"));
         assert!(
             err.get("message").and_then(Json::as_str).unwrap().contains("failed to open"),
             "{e:?}"
@@ -185,12 +185,12 @@ fn corrupt_store_contents_serve_cold_not_garbage() {
 
     let (addr, handle, join) = start(store_cfg(&dir));
     let mut c = Client::connect(&addr).unwrap();
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     assert_eq!(stat(&s, "serve.store.enabled"), 1, "junk contents are not a degraded store");
     assert_eq!(stat(&s, "runner.store.recovered_records"), 0);
     assert!(stat(&s, "runner.store.recovery_invalidated_segments") >= 2);
 
-    let w = c.request_json("{\"verb\":\"warm\"}").unwrap();
+    let w = c.request_json("{\"proto\":2,\"verb\":\"warm\"}").unwrap();
     assert_eq!(w.get("entries").and_then(Json::as_u64), Some(0));
 
     let r = c.request_json(&run_line("cor-1", 4104)).unwrap();
@@ -205,15 +205,15 @@ fn persist_and_warm_without_a_store_are_typed_errors() {
         start(ServerConfig { workers: 1, queue_depth: 4, ..ServerConfig::default() });
     let mut c = Client::connect(&addr).unwrap();
     for verb in ["persist", "warm"] {
-        let e = c.request_json(&format!("{{\"verb\":\"{verb}\"}}")).unwrap();
+        let e = c.request_json(&format!("{{\"proto\":2,\"verb\":\"{verb}\"}}")).unwrap();
         let err = e.get("error").expect("error object");
-        assert_eq!(err.get("kind").and_then(Json::as_str), Some("store_unavailable"));
+        assert_eq!(err.get("code").and_then(Json::as_str), Some("store_unavailable"));
         assert!(
             err.get("message").and_then(Json::as_str).unwrap().contains("--store-dir"),
             "{e:?}"
         );
     }
-    let s = c.request_json("{\"verb\":\"stats\"}").unwrap();
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").unwrap();
     assert_eq!(stat(&s, "serve.store.enabled"), 0);
     assert_eq!(stat(&s, "serve.store.degraded"), 0);
     drain_and_join(&handle, join);
@@ -227,7 +227,7 @@ fn drain_flushes_store_writes_before_exit() {
     let r = c.request_json(&run_line("df-1", 4105)).unwrap();
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
     // Shutdown via the verb — no explicit persist.
-    let d = c.request_json("{\"verb\":\"shutdown\"}").unwrap();
+    let d = c.request_json("{\"proto\":2,\"verb\":\"shutdown\"}").unwrap();
     assert_eq!(d.get("status").and_then(Json::as_str), Some("draining"));
     join.join().expect("serve thread").expect("serve result");
     let _ = handle;

@@ -69,7 +69,7 @@ fn corpus_trace(name: &str, iters: i64) -> (Vec<u8>, u64) {
 /// What the server must answer for a trace job, computed by decoding
 /// the same blob and running it in-process — the same synthesis
 /// `submit_trace` performs, executed without any serving machinery.
-fn direct_response(blob: &[u8], id: &str, level: OptLevel, proto: Proto) -> String {
+fn direct_response(blob: &[u8], id: &str, level: OptLevel) -> String {
     let t = trace::decode(blob).expect("blob decodes");
     let w = Workload {
         name: Cow::Owned(trace_workload_name(t.digest)),
@@ -83,7 +83,7 @@ fn direct_response(blob: &[u8], id: &str, level: OptLevel, proto: Proto) -> Stri
     let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
     // `Client::request` strips the NDJSON line delimiter; strip it here
     // too so the comparison covers the full rendered frame body.
-    run_response(proto, Some(id), &one.result, None).trim_end_matches('\n').to_string()
+    run_response(Proto::V2, Some(id), &one.result, None).trim_end_matches('\n').to_string()
 }
 
 fn run_trace_frame(id: &str, b64: &str, level: &str) -> String {
@@ -112,13 +112,13 @@ fn run_trace_over_a_unix_socket_is_byte_identical_to_direct_execution() {
 
     // The run itself: byte-identical to in-process execution.
     let got = c.request(&run_trace_frame("ux-1", &b64, "full-scc")).expect("run-trace frame");
-    let want = direct_response(&blob, "ux-1", OptLevel::Full, Proto::V2);
+    let want = direct_response(&blob, "ux-1", OptLevel::Full);
     assert_eq!(got, want, "unix-socket run-trace differs from direct execution");
 
     // A second level on the same connection exercises a distinct
     // config key under the same digest name.
     let got = c.request(&run_trace_frame("ux-2", &b64, "baseline")).expect("second run-trace");
-    let want = direct_response(&blob, "ux-2", OptLevel::Baseline, Proto::V2);
+    let want = direct_response(&blob, "ux-2", OptLevel::Baseline);
     assert_eq!(got, want, "baseline run-trace differs from direct execution");
 
     drop(c);
@@ -148,13 +148,13 @@ fn run_trace_through_the_router_is_byte_identical_to_direct_execution() {
         let id = format!("rt-{i}");
         let mut c = Client::connect(&ra).expect("connect router");
         let got = c.request(&run_trace_frame(&id, &b64, "full-scc")).expect("routed run-trace");
-        let want = direct_response(&blob, &id, OptLevel::Full, Proto::V2);
+        let want = direct_response(&blob, &id, OptLevel::Full);
         assert_eq!(got, want, "routed `{name}` trace differs from direct execution");
         forwarded += 1;
     }
 
     let mut c = Client::connect(&ra).expect("router stats");
-    let s = c.request_json("{\"verb\":\"stats\"}").expect("stats");
+    let s = c.request_json("{\"proto\":2,\"verb\":\"stats\"}").expect("stats");
     let stats = s.get("stats").expect("stats object");
     let fwd0 = stats.get("route.shard.0.forwarded").and_then(Json::as_u64).unwrap_or(0);
     let fwd1 = stats.get("route.shard.1.forwarded").and_then(Json::as_u64).unwrap_or(0);
@@ -172,7 +172,7 @@ fn wait_for_shards_up(addr: &Addr, n: u64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         if let Ok(mut c) = Client::connect(addr) {
-            if let Ok(s) = c.request_json("{\"verb\":\"stats\"}") {
+            if let Ok(s) = c.request_json("{\"proto\":2,\"verb\":\"stats\"}") {
                 let up = s
                     .get("stats")
                     .and_then(|t| t.get("route.shards.up"))
@@ -238,7 +238,7 @@ fn corrupt_truncated_and_stale_traces_get_typed_errors_and_serving_continues() {
     // The same connection still serves good work after five rejects.
     let b64 = trace::to_base64(&blob);
     let got = c.request(&run_trace_frame("good-1", &b64, "full-scc")).expect("good frame");
-    let want = direct_response(&blob, "good-1", OptLevel::Full, Proto::V2);
+    let want = direct_response(&blob, "good-1", OptLevel::Full);
     assert_eq!(got, want, "serving must continue after rejected traces");
 
     drop(c);

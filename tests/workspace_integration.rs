@@ -100,3 +100,19 @@ fn report_helpers_render_suite_results() {
     assert!(s.contains("perlbench"));
     assert_eq!(s.lines().count(), 5);
 }
+
+/// The scale of the saved figures, where g_sort fills its tables.
+const SORT_ITERS: i64 = 4000;
+
+#[test]
+fn g_sort_full_scc_repeats_identically_in_one_process() {
+    // g_sort overflows EVES's per-PC pattern tables, so this pins that
+    // predictor replacement depends on the run alone, not on a hasher
+    // seed drawn per map.
+    let w = workload("g_sort", Scale::custom(SORT_ITERS)).unwrap();
+    let opts = SimOptions::new(OptLevel::Full);
+    let first = run_workload(&w, &opts);
+    let second = run_workload(&w, &opts);
+    assert!(first.halted);
+    assert_eq!(first.stats, second.stats);
+}
