@@ -19,6 +19,7 @@
 
 #![forbid(unsafe_code)]
 
+use scc_isa::json::Json;
 use scc_sim::{run_workload, OptLevel, SimOptions};
 use scc_workloads::workload;
 use std::time::Instant;
@@ -63,27 +64,24 @@ fn render(rates: &[(String, f64)]) -> String {
     out
 }
 
-/// Minimal extraction of `{"name": ..., "uops_per_sec": ...}` pairs from
-/// the baseline document — the one JSON shape this binary both writes
-/// and reads, so a scanning parse beats a dependency.
-fn parse_baseline(doc: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in doc.split("\"name\":").skip(1) {
-        let name = chunk.split('"').nth(1).unwrap_or_default().to_string();
-        let rate = chunk
-            .split("\"uops_per_sec\":")
-            .nth(1)
-            .and_then(|r| {
-                r.trim_start()
-                    .split(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-                    .next()?
-                    .parse::<f64>()
-                    .ok()
-            })
-            .unwrap_or_else(|| panic!("malformed baseline entry for {name}"));
-        out.push((name, rate));
-    }
-    out
+/// The `(name, uops_per_sec)` pairs of a baseline document written by
+/// [`render`].
+fn baseline_rates(doc: &str) -> Vec<(String, f64)> {
+    let doc = Json::parse(doc).unwrap_or_else(|e| panic!("{BASELINE_PATH} is not JSON: {e}"));
+    let Some(Json::Arr(entries)) = doc.get("workloads") else {
+        panic!("{BASELINE_PATH} has no `workloads` array")
+    };
+    entries
+        .iter()
+        .map(|e| {
+            let name = e.get("name").and_then(Json::as_str);
+            let rate = e.get("uops_per_sec").and_then(Json::as_f64);
+            match (name, rate) {
+                (Some(name), Some(rate)) => (name.to_string(), rate),
+                _ => panic!("malformed baseline entry {e:?}"),
+            }
+        })
+        .collect()
 }
 
 fn main() {
@@ -109,7 +107,7 @@ fn main() {
     let doc = std::fs::read_to_string(BASELINE_PATH).unwrap_or_else(|e| {
         panic!("cannot read {BASELINE_PATH} ({e}); run with --write-baseline first")
     });
-    let baseline = parse_baseline(&doc);
+    let baseline = baseline_rates(&doc);
     let mut failed = false;
     for (name, rate) in &rates {
         let base = baseline

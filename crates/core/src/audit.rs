@@ -5,9 +5,8 @@
 //! assumption/deoptimization pair. [`AuditLog`] materializes that view of
 //! an SCC run: it records, per scanned micro-op, which transformation the
 //! engine chose and the predictor confidence that justified it, and, per
-//! squash, which recorded assumption failed. It is a
-//! [`Sink`](scc_isa::trace::Sink), so it attaches anywhere the trace
-//! layer does.
+//! squash, which recorded assumption failed. It is a [`Sink`], so it
+//! attaches anywhere the trace layer does.
 //!
 //! The log serializes to JSON Lines (one type-tagged object per line, in
 //! arrival order), and keeps running totals that must reconcile with the

@@ -1,11 +1,11 @@
 //! Shared observability vocabulary for the SCC reproduction.
 //!
 //! Every layer of the simulator — the compaction engine, the micro-op
-//! cache partitions, the cycle-level pipeline, and the experiment runner —
-//! reports what it did through the same narrow interface: a [`Sink`] that
-//! receives structured [`Event`]s. Consumers (the Chrome trace exporter,
-//! the SCC decision audit log, test collectors) implement `Sink` once and
-//! can be attached anywhere in the stack.
+//! cache partitions, and the cycle-level pipeline — reports what it did
+//! through the same narrow interface: a [`Sink`] that receives structured
+//! [`Event`]s. Consumers (the Chrome trace exporter, the SCC decision
+//! audit log, test collectors) implement `Sink` once and can be attached
+//! anywhere in the stack.
 //!
 //! The contract for producers is that observability must be free when it
 //! is off: every emission site guards on [`SinkHandle::is_enabled`] (a
@@ -13,11 +13,8 @@
 //! simulation run with no sink attached pays one predictable branch per
 //! site and allocates nothing.
 //!
-//! Events use simulated cycles as their clock wherever possible so that
-//! traces are byte-for-byte deterministic for a given seed and
-//! configuration. The only wall-clock events are the runner's
-//! [`Event::JobStarted`] / [`Event::JobFinished`] pair, which describe
-//! host-side scheduling and are inherently nondeterministic.
+//! Every event is clocked in simulated cycles, so traces are
+//! byte-for-byte deterministic for a given seed and configuration.
 
 use crate::Addr;
 use std::cell::RefCell;
@@ -256,48 +253,6 @@ pub enum Event {
         kind: &'static str,
         /// Macro-instruction address of the invariant source.
         pc: Addr,
-    },
-    /// A runner worker started executing a simulation job
-    /// (wall-clock microseconds since the runner's process epoch).
-    JobStarted {
-        /// Worker slot index.
-        worker: usize,
-        /// Wall-clock microseconds since process epoch.
-        ts_us: u64,
-        /// Workload name.
-        workload: String,
-        /// Optimization-level label.
-        level: &'static str,
-    },
-    /// A runner worker finished a simulation job, or a cached result
-    /// was resolved (in which case `cached` is true and the span is
-    /// zero-length).
-    JobFinished {
-        /// Worker slot index.
-        worker: usize,
-        /// Wall-clock microseconds since process epoch.
-        ts_us: u64,
-        /// Workload name.
-        workload: String,
-        /// Optimization-level label.
-        level: &'static str,
-        /// True when the result came from the cross-figure cache.
-        cached: bool,
-    },
-    /// An operation of the runner's persistent store tier (wall-clock
-    /// microseconds since the process epoch, like the `Job*` events).
-    StoreOp {
-        /// Wall-clock microseconds since process epoch.
-        ts_us: u64,
-        /// `"recover"`, `"hit"`, `"miss"`, `"write"`, `"warm"`, or
-        /// `"flush"`.
-        op: &'static str,
-        /// Human-readable identity: the content key for per-result
-        /// operations, the store directory for lifecycle ones.
-        detail: String,
-        /// Records involved: 1 for per-result operations, the batch
-        /// size for `recover`/`warm`.
-        count: u64,
     },
 }
 

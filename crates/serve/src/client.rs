@@ -5,8 +5,8 @@ use std::io::{self, Write};
 use std::time::Duration;
 
 use crate::frame::{FrameReader, Poll};
-use crate::json::Json;
 use crate::net::{Addr, Stream};
+use scc_isa::json::Json;
 
 /// Responses can be much larger than requests (full metrics registry,
 /// audit logs), so the client accepts frames up to this size.

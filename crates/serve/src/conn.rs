@@ -1,10 +1,9 @@
 //! The per-connection state machine of the readiness loop.
 //!
 //! A [`Conn`] owns one nonblocking stream plus its resumable framing
-//! state: a [`FrameReader`](crate::frame::FrameReader) accumulating
-//! request bytes and a [`FrameWriter`](crate::frame::FrameWriter)
-//! draining response bytes. The event loop drives it with edge
-//! handlers ([`Conn::on_readable`], [`Conn::on_writable`],
+//! state: a [`FrameReader`] accumulating request bytes and a
+//! [`FrameWriter`] draining response bytes. The event loop drives it
+//! with edge handlers ([`Conn::on_readable`], [`Conn::on_writable`],
 //! [`Conn::complete_job`]) and asks [`Conn::wants`] which readiness
 //! events to poll for.
 //!

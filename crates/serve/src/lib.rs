@@ -15,10 +15,9 @@
 //!   libc crate, same idiom as [`signal`]);
 //! - [`protocol`] — the NDJSON wire grammar and the deterministic
 //!   report rendering (byte-identical to direct in-process execution);
-//! - [`frame`] / [`json`] — resumable newline framing (reader and
-//!   short-write-safe writer) with a size cap and a dependency-free
-//!   JSON parser, mirroring the hand-rolled emitters used across the
-//!   workspace;
+//! - [`frame`] — resumable newline framing (reader and
+//!   short-write-safe writer) with a size cap; frames parse with the
+//!   workspace's one JSON reader, [`scc_isa::json::Json`];
 //! - [`ring`] / [`route`] — the consistent-hash ring and the
 //!   `scc-route` shard router: clients connect to the router as if it
 //!   were a shard, each `run` is hashed on its canonical job key and
@@ -40,7 +39,6 @@
 pub mod client;
 pub mod conn;
 pub mod frame;
-pub mod json;
 pub mod loadgen;
 pub mod net;
 pub mod protocol;
@@ -50,6 +48,11 @@ pub mod server;
 pub mod signal;
 pub mod spawn;
 pub mod sys;
+
+/// The workspace's JSON module, [`scc_isa::json`], re-exported so that
+/// `scc_serve::json::Json` keeps resolving for the benchmark package
+/// (`perfbench/`), which imports it by that path.
+pub use scc_isa::json;
 
 pub use client::Client;
 pub use net::Addr;

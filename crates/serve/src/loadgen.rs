@@ -36,10 +36,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
-use crate::json::Json;
 use crate::net::Addr;
 use crate::protocol::ErrorCode;
-use scc_isa::json::escape;
+use scc_isa::json::{escape, Json};
 
 /// `results/BENCH_serve.json` document schema. v3 added `mode`, the
 /// per-phase `cache` object (phase-scoped hit-rate deltas with the
@@ -708,7 +707,7 @@ mod tests {
         assert!(doc.contains("\"cache_hit_rate\": null"));
         assert!(doc.contains("\"schema_version\": 3"));
         assert!(doc.contains("\"mode\": \"direct\""));
-        crate::json::Json::parse(&doc).unwrap();
+        Json::parse(&doc).unwrap();
         let store_doc = store_bench_json(&r, &Json::parse("{}").unwrap());
         assert!(store_doc.contains("\"warm_hit_rate\": null"));
         assert!(store_doc.contains("\"schema_version\": 1"));

@@ -53,8 +53,7 @@
 //! relayed through `scc-route`. The regression suites hold both the
 //! service and the router to that.
 
-use crate::json::Json;
-use scc_isa::json::{escape, push_escaped};
+use scc_isa::json::{escape, push_escaped, Json};
 use scc_pipeline::{Metric, MetricValue};
 use scc_sim::{OptLevel, RunOne, SimOptions, SimResult};
 use std::fmt::Write as _;

@@ -802,7 +802,7 @@ fn execute_job(shared: &Shared, qj: &QueuedJob) -> String {
     // like a miss — nor by the result's size: the reply renders the
     // digest the runner memoised on the entry.
     if !req.audit {
-        if let Some(hit) = shared.runner.try_cached(&run_key(req, shared.cfg.max_cycles), id) {
+        if let Some(hit) = shared.runner.try_cached(&run_key(req, shared.cfg.max_cycles), None) {
             shared.jobs_ok.fetch_add(1, Ordering::Relaxed);
             return run_one_response(id, &hit);
         }
@@ -822,7 +822,7 @@ fn execute_job(shared: &Shared, qj: &QueuedJob) -> String {
     let mut opts = SimOptions::new(req.level);
     opts.max_cycles = req.max_cycles.unwrap_or(shared.cfg.max_cycles).min(shared.cfg.max_cycles);
     let job = Job::new(&workload, &opts);
-    match shared.runner.run_fresh(&job, qj.deadline, id, req.audit) {
+    match shared.runner.run_fresh(&job, qj.deadline, req.audit) {
         Ok(one) => {
             shared.jobs_ok.fetch_add(1, Ordering::Relaxed);
             run_one_response(id, &one)

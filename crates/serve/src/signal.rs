@@ -1,6 +1,7 @@
 //! SIGTERM/SIGINT → drain, without a libc dependency.
 //!
-//! The handler only stores to a static [`AtomicBool`]
+//! The handler only stores to a static
+//! [`AtomicBool`](std::sync::atomic::AtomicBool)
 //! (async-signal-safe); the binary polls [`received`] from an ordinary
 //! thread and triggers the server's graceful drain. On non-Unix
 //! targets both functions are no-ops and drain is reachable via the

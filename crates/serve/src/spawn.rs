@@ -20,11 +20,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use crate::client::Client;
-use crate::json::Json;
 use crate::loadgen::{
     self, stats_object, tier_counters, LoadConfig, LoadReport, ShardReport, TopologyReport,
 };
 use crate::net::Addr;
+use scc_isa::json::Json;
 
 /// How long to wait for a spawned process to answer on its socket, and
 /// for children to exit after shutdown. Generous because CI machines

@@ -5,8 +5,8 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
+use scc_isa::json::Json;
 use scc_serve::conn::{Conn, ConnStatus, FrameDisposition, WRITE_HIGH_WATER};
-use scc_serve::json::Json;
 
 /// What the mock returns for one `read` or `write` call.
 #[derive(Clone, Debug)]

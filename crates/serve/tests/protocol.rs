@@ -10,7 +10,7 @@ use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use scc_serve::json::Json;
+use scc_isa::json::Json;
 use scc_serve::protocol::{run_response, Proto, MAX_FRAME_BYTES};
 use scc_serve::server::{Server, ServerConfig, ServerHandle};
 use scc_serve::{Addr, Client};
@@ -39,7 +39,7 @@ fn expected_run_response(id: &str, workload: &str, iters: i64, level: scc_sim::O
     let w = resolve_workload(workload, Scale::custom(iters)).expect("workload");
     let opts = SimOptions::new(level);
     let job = Job::new(&w, &opts);
-    let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
+    let one = Runner::new().run_fresh(&job, None, false).expect("direct run");
     run_response(Proto::V2, Some(id), &one.result, None)
 }
 

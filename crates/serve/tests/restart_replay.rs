@@ -11,7 +11,7 @@ use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
-use scc_serve::json::Json;
+use scc_isa::json::Json;
 use scc_serve::loadgen::{run, stats_object, store_bench_json, LoadConfig};
 use scc_serve::Addr;
 

@@ -13,7 +13,7 @@ use std::net::SocketAddr;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use scc_serve::json::Json;
+use scc_isa::json::Json;
 use scc_serve::net::Stream;
 use scc_serve::protocol::{run_key, run_response, Proto, RunRequest};
 use scc_serve::ring::Ring;
@@ -82,7 +82,7 @@ fn shape(i: i64) -> (String, String) {
     let w = resolve_workload("freqmine", Scale::custom(iters)).expect("workload");
     let opts = SimOptions::new(OptLevel::Full);
     let job = Job::new(&w, &opts);
-    let one = Runner::new().run_fresh(&job, None, Some(&id), false).expect("direct run");
+    let one = Runner::new().run_fresh(&job, None, false).expect("direct run");
     (req, run_response(Proto::V2, Some(&id), &one.result, None))
 }
 

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
-use scc_serve::json::Json;
+use scc_isa::json::Json;
 use scc_serve::protocol::{run_response, Proto};
 use scc_serve::server::{Server, ServerConfig, ServerHandle};
 use scc_serve::{Addr, Client};
@@ -63,7 +63,7 @@ fn run_line(id: &str, iters: i64) -> String {
 fn expected_run_response(id: &str, iters: i64) -> String {
     let w = resolve_workload("freqmine", Scale::custom(iters)).expect("workload");
     let job = Job::new(&w, &SimOptions::new(scc_sim::OptLevel::Full));
-    let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
+    let one = Runner::new().run_fresh(&job, None, false).expect("direct run");
     run_response(Proto::V2, Some(id), &one.result, None)
 }
 

@@ -16,9 +16,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 use std::{env, io};
 
+use scc_isa::json::Json;
 use scc_lang::corpus;
 use scc_lang::trace;
-use scc_serve::json::Json;
 use scc_serve::protocol::{run_response, Proto};
 use scc_serve::route::{Router, RouterConfig};
 use scc_serve::server::{Server, ServerConfig, ServerHandle};
@@ -80,7 +80,7 @@ fn direct_response(blob: &[u8], id: &str, level: OptLevel) -> String {
     };
     let opts = SimOptions::new(level);
     let job = Job::new(&w, &opts);
-    let one = Runner::new().run_fresh(&job, None, Some(id), false).expect("direct run");
+    let one = Runner::new().run_fresh(&job, None, false).expect("direct run");
     // `Client::request` strips the NDJSON line delimiter; strip it here
     // too so the comparison covers the full rendered frame body.
     run_response(Proto::V2, Some(id), &one.result, None).trim_end_matches('\n').to_string()

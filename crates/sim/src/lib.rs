@@ -37,8 +37,8 @@ use scc_workloads::Workload;
 
 pub use build::{ConfigError, Sim, SimBuilder, SimError};
 pub use runner::{
-    default_jobs, parallel_map, parallel_map_indexed, resolve_workload, scc_jobs, CacheStats, Job,
-    JobError, RunOne, RunTiming, Runner, StoreTier, DEFAULT_CACHE_CAPACITY, LOG_CAP,
+    default_jobs, parallel_map, resolve_workload, scc_jobs, CacheStats, Job, JobError, RunOne,
+    RunTiming, Runner, StoreTier, DEFAULT_CACHE_CAPACITY,
 };
 
 /// The appendix's six experiment levels, cumulative.

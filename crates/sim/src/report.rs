@@ -230,17 +230,14 @@ mod tests {
         t.row(&["only-one".into()]);
     }
 
-    /// A log entry spanning `wall_us` microseconds on worker 0.
+    /// A log entry of `wall_us` microseconds (a cache hit when 0).
     fn timing(workload: &str, level: &'static str, wall_us: u64, uops: u64) -> RunTiming {
         RunTiming {
             workload: workload.into(),
             level,
             uops,
             cached: wall_us == 0,
-            worker: 0,
-            start_us: 5,
-            end_us: 5 + wall_us,
-            request: None,
+            wall: std::time::Duration::from_micros(wall_us),
         }
     }
 

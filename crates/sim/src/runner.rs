@@ -19,21 +19,21 @@
 //! binaries that honor the `SCC_JOBS` convention read the environment
 //! once at their edge (via [`scc_jobs`]) and pass the count in
 //! explicitly with [`Runner::with_jobs`] — the library itself never
-//! consults the environment. Every resolution, fresh or cached, appends
-//! one [`RunTiming`] to the runner's log ([`Runner::timings`]), which
-//! keeps its newest [`LOG_CAP`] entries. The log is both the throughput
-//! record behind `results/BENCH_throughput.json`
-//! ([`Runner::write_throughput_json`]) and the worker schedule behind
-//! the Chrome trace exporter's runner tracks.
+//! consults the environment. Every job a [`Runner::try_run`] batch
+//! resolves, fresh or cached, appends one [`RunTiming`] to the runner's
+//! log ([`Runner::timings`]): the throughput record behind
+//! `results/BENCH_throughput.json` ([`Runner::write_throughput_json`]).
+//! The serving path ([`Runner::try_cached`], [`Runner::run_fresh`])
+//! writes no log, so a resident service keeps no per-request state.
 
 use crate::{arch_digest, energy_events, persist, OptLevel, SimOptions, SimResult};
 use scc_core::AuditLog;
 use scc_energy::EnergyModel;
-use scc_isa::trace::{shared, Event, SharedSink};
+use scc_isa::trace::{shared, SharedSink};
 use scc_pipeline::{Metric, MetricValue, Pipeline, PipelineConfig, RunOutcome};
 use scc_store::{RecoveryReport, Store, StoreConfig, StoreStats};
 use scc_workloads::{Scale, Workload};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -262,10 +262,9 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// One entry of a runner's log: one job resolution — a fresh
-/// simulation or a cache hit — with the worker slot and wall-clock
-/// window (microseconds since the process epoch) it occupied. Cache
-/// hits are recorded as zero-length spans on worker 0.
+/// One entry of a runner's log: one job a [`Runner::try_run`] batch
+/// resolved — a fresh simulation or a cache hit — and the host wall time
+/// it took (zero for hits).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunTiming {
     /// Workload name.
@@ -277,22 +276,24 @@ pub struct RunTiming {
     /// True when the result came from the runner's LRU or its store
     /// tier instead of a fresh simulation.
     pub cached: bool,
-    /// Worker slot (0-based) the job ran on.
-    pub worker: usize,
-    /// Start, µs since the process epoch.
-    pub start_us: u64,
-    /// End, µs since the process epoch.
-    pub end_us: u64,
-    /// Request ID of the service request that submitted the job, if it
-    /// came through `scc-serve`; propagated into the exported trace's
-    /// runner track.
-    pub request: Option<String>,
+    /// Host wall time of the simulation (zero for cache hits).
+    pub wall: Duration,
 }
 
 impl RunTiming {
+    fn new(r: &SimResult, cached: bool, wall: Duration) -> RunTiming {
+        RunTiming {
+            workload: r.workload.clone(),
+            level: r.level.label(),
+            uops: r.stats.committed_uops,
+            cached,
+            wall,
+        }
+    }
+
     /// Host wall-clock seconds the resolution took (0 for cache hits).
     pub fn wall_secs(&self) -> f64 {
-        self.end_us.saturating_sub(self.start_us) as f64 / 1e6
+        self.wall.as_secs_f64()
     }
 
     /// Simulated micro-ops per host second (0 for cache hits).
@@ -303,29 +304,6 @@ impl RunTiming {
         } else {
             0.0
         }
-    }
-}
-
-/// Microseconds since the process-wide epoch (first use).
-fn epoch_us() -> u64 {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    EPOCH.get_or_init(Instant::now).elapsed().as_micros() as u64
-}
-
-/// Where and when one resolution ran: its worker slot and wall-clock
-/// window, in [`epoch_us`] time.
-#[derive(Clone, Copy, Debug)]
-struct Span {
-    worker: usize,
-    start_us: u64,
-    end_us: u64,
-}
-
-impl Span {
-    /// The zero-length span of a cache hit, on worker 0.
-    fn hit() -> Span {
-        let now = epoch_us();
-        Span { worker: 0, start_us: now, end_us: now }
     }
 }
 
@@ -476,35 +454,6 @@ impl ResultCache {
     }
 }
 
-/// Cap on each runner's log ([`Runner::timings`]) and each store tier's
-/// op log ([`StoreTier::trace_events`]). A resident service records
-/// every hit, so its logs must not grow with the requests it serves; a
-/// figure run logs a few hundred entries and so keeps all of them.
-pub const LOG_CAP: usize = 16_384;
-
-/// A log that keeps its newest [`LOG_CAP`] entries.
-struct LogRing<T> {
-    entries: VecDeque<T>,
-}
-
-impl<T: Clone> LogRing<T> {
-    fn new() -> LogRing<T> {
-        LogRing { entries: VecDeque::new() }
-    }
-
-    fn push(&mut self, entry: T) {
-        if self.entries.len() == LOG_CAP {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(entry);
-    }
-
-    /// The entries, oldest first.
-    fn snapshot(&self) -> Vec<T> {
-        self.entries.iter().cloned().collect()
-    }
-}
-
 /// How often the background compactor wakes to check the segment tiers.
 const COMPACTOR_POLL: Duration = Duration::from_millis(200);
 
@@ -536,7 +485,6 @@ pub struct StoreTier {
     decode_rejects: AtomicU64,
     preloaded: AtomicU64,
     io_errors: AtomicU64,
-    ops: Mutex<LogRing<Event>>,
 }
 
 impl std::fmt::Debug for StoreTier {
@@ -549,39 +497,16 @@ impl std::fmt::Debug for StoreTier {
     }
 }
 
-/// The workload portion of a content key, used as the human-readable
-/// detail on store trace events (the full key is long and opaque).
-fn key_label(key: &str) -> String {
-    key.split('|').next().unwrap_or("").to_string()
-}
-
 fn compactor_loop(tier: Weak<StoreTier>) {
     loop {
         std::thread::sleep(COMPACTOR_POLL);
         // Upgrade per iteration: when the last real handle drops, the
         // upgrade fails and the thread exits — no shutdown signal needed.
         let Some(tier) = tier.upgrade() else { return };
-        let compacted = {
-            let mut s = lock_unpoisoned(&tier.store);
-            if s.needs_compaction() {
-                s.maybe_compact().unwrap_or(false)
-            } else {
-                false
-            }
-        };
-        if compacted {
-            let (segments, stats) = {
-                let s = lock_unpoisoned(&tier.store);
-                (s.segment_count(), s.stats())
-            };
-            tier.log_op(
-                "compact",
-                format!(
-                    "segments={segments} dups_dropped={} tombstones_dropped={}",
-                    stats.compaction_dups_dropped, stats.compaction_tombstones_dropped
-                ),
-                stats.compactions,
-            );
+        let mut store = lock_unpoisoned(&tier.store);
+        if store.needs_compaction() {
+            // Best-effort: the next poll tries again.
+            let _ = store.maybe_compact();
         }
     }
 }
@@ -604,7 +529,6 @@ impl StoreTier {
         engine_rev: &str,
     ) -> std::io::Result<Arc<StoreTier>> {
         let store = Store::open(dir, StoreConfig::new(schema_version, engine_rev))?;
-        let recovery = store.recovery();
         let tier = Arc::new(StoreTier {
             store: Mutex::new(store),
             hits: AtomicU64::new(0),
@@ -613,19 +537,7 @@ impl StoreTier {
             decode_rejects: AtomicU64::new(0),
             preloaded: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
-            ops: Mutex::new(LogRing::new()),
         });
-        tier.log_op(
-            "recover",
-            format!(
-                "segments={} corrupt_skipped={} torn={} invalidated={}",
-                recovery.segments_scanned,
-                recovery.corrupt_records_skipped,
-                recovery.torn_truncations,
-                recovery.invalidated_segments()
-            ),
-            recovery.records_indexed,
-        );
         let weak = Arc::downgrade(&tier);
         // Detached on purpose: the loop owns no real handle and dies with
         // the tier. Spawn failure only loses background compaction.
@@ -646,20 +558,17 @@ impl StoreTier {
             Ok(Some(bytes)) => bytes,
             Ok(None) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.log_op("miss", key_label(key), 1);
                 return None;
             }
             Err(_) => {
                 self.io_errors.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.log_op("miss", key_label(key), 1);
                 return None;
             }
         };
         match persist::decode_result(&bytes) {
             Some(result) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.log_op("hit", key_label(key), 1);
                 Some(Arc::new(result))
             }
             None => {
@@ -667,7 +576,6 @@ impl StoreTier {
                 // this codec's output. Count it loudly and miss.
                 self.decode_rejects.fetch_add(1, Ordering::Relaxed);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.log_op("miss", key_label(key), 1);
                 None
             }
         }
@@ -678,23 +586,15 @@ impl StoreTier {
     /// disk must not fail the simulation that produced the result.
     pub fn put(&self, key: &str, result: &SimResult) {
         let bytes = persist::encode_result(result);
-        let len = bytes.len() as u64;
         match lock_unpoisoned(&self.store).put(key, &bytes) {
-            Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
-                self.log_op("write", key_label(key), len);
-            }
-            Err(_) => {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+            Ok(()) => self.writes.fetch_add(1, Ordering::Relaxed),
+            Err(_) => self.io_errors.fetch_add(1, Ordering::Relaxed),
+        };
     }
 
     /// Fsyncs the active segment — the drain path's durability barrier.
     pub fn flush(&self) -> std::io::Result<()> {
-        lock_unpoisoned(&self.store).sync()?;
-        self.log_op("flush", String::new(), 1);
-        Ok(())
+        lock_unpoisoned(&self.store).sync()
     }
 
     /// The tier's counters as registry metrics (`runner.store.*`), in the
@@ -738,18 +638,6 @@ impl StoreTier {
     /// Counters of the underlying segment store.
     pub fn store_stats(&self) -> StoreStats {
         lock_unpoisoned(&self.store).stats()
-    }
-
-    /// The buffered store trace events (recover/hit/miss/write/warm/
-    /// flush/compact), oldest first, for
-    /// [`crate::trace_export::replay_store_ops`]: the newest
-    /// [`LOG_CAP`] of them.
-    pub fn trace_events(&self) -> Vec<Event> {
-        lock_unpoisoned(&self.ops).snapshot()
-    }
-
-    fn log_op(&self, op: &'static str, detail: String, count: u64) {
-        lock_unpoisoned(&self.ops).push(Event::StoreOp { ts_us: epoch_us(), op, detail, count });
     }
 }
 
@@ -823,17 +711,6 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_indexed(workers, items, |_, item| f(item))
-}
-
-/// [`parallel_map`] with the worker slot index (0-based) passed to `f` —
-/// the runner uses it to attribute each job to a scheduling track.
-pub fn parallel_map_indexed<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     if items.is_empty() {
         return Vec::new();
     }
@@ -841,7 +718,7 @@ where
     let next = AtomicUsize::new(0);
     let workers = workers.clamp(1, items.len());
     std::thread::scope(|s| {
-        for slot in 0..workers {
+        for _ in 0..workers {
             let f = &f;
             let next = &next;
             let done = &done;
@@ -850,7 +727,7 @@ where
                 if i >= items.len() {
                     break;
                 }
-                let r = f(slot, &items[i]);
+                let r = f(&items[i]);
                 done.lock().unwrap().push((i, r));
             });
         }
@@ -865,7 +742,7 @@ where
 /// store-tier call or a simulation.
 struct RunnerState {
     cache: Mutex<ResultCache>,
-    log: Mutex<LogRing<RunTiming>>,
+    log: Mutex<Vec<RunTiming>>,
 }
 
 /// The experiment runner: a worker pool plus its own result cache and
@@ -876,11 +753,13 @@ struct RunnerState {
 /// with an empty cache and an empty log.
 ///
 /// Every resolution takes one of two paths: a *probe* (LRU, then the
-/// store tier, promoting a store hit into the LRU, then one log entry)
-/// or an execution followed by a *publish* (LRU insert, store
-/// write-through, then one log entry). [`Runner::try_run`] and
-/// [`Runner::try_cached`] probe; [`Runner::try_run`] and
-/// [`Runner::run_fresh`] publish.
+/// store tier, promoting a store hit into the LRU) or an execution
+/// followed by a *publish* (LRU insert, store write-through).
+/// [`Runner::try_run`] and [`Runner::try_cached`] probe;
+/// [`Runner::try_run`] and [`Runner::run_fresh`] publish. Only
+/// [`Runner::try_run`] writes the log, one entry per distinct job it
+/// resolves, so the log grows with the batches submitted and never with
+/// the requests a resident service answers.
 #[derive(Clone)]
 pub struct Runner {
     jobs: usize,
@@ -919,7 +798,7 @@ impl Runner {
             store: None,
             state: Arc::new(RunnerState {
                 cache: Mutex::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
-                log: Mutex::new(LogRing::new()),
+                log: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -958,7 +837,10 @@ impl Runner {
     /// Each distinct key is probed once; misses are simulated on the
     /// worker pool and published in submission order. Results land back
     /// in their submission slots, so output ordering (and therefore any
-    /// report built from it) is independent of worker scheduling.
+    /// report built from it) is independent of worker scheduling. The
+    /// batch then appends one [`RunTiming`] per distinct key to the
+    /// runner's log: the hits in probe order, then the fresh runs in
+    /// submission order.
     ///
     /// A job whose workload does not halt within its cycle budget does
     /// not panic inside the pool (which would abort every in-flight
@@ -973,12 +855,16 @@ impl Runner {
         // a missed key waits for that key's simulation.
         let mut misses: Vec<usize> = Vec::new();
         let mut simulated_by: HashMap<&str, usize> = HashMap::new();
+        let mut log: Vec<RunTiming> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
             if simulated_by.contains_key(key.as_str()) {
                 continue;
             }
-            match self.probe(key, None) {
-                Some(r) => out[i] = Some(Arc::clone(&r.result)),
+            match self.probe(key) {
+                Some(r) => {
+                    log.push(RunTiming::new(&r.result, true, Duration::ZERO));
+                    out[i] = Some(Arc::clone(&r.result));
+                }
                 None => {
                     simulated_by.insert(key.as_str(), i);
                     misses.push(i);
@@ -988,24 +874,29 @@ impl Runner {
 
         // Fan the misses out over the pool; each simulation is
         // independent and results come back in submission order.
-        let computed = parallel_map_indexed(self.jobs, &misses, |worker, &i| {
-            let start_us = epoch_us();
+        let computed = parallel_map(self.jobs, &misses, |&i| {
+            let start = Instant::now();
             let r = execute(&jobs[i], None, false).map(|(r, _)| r);
-            (r, Span { worker, start_us, end_us: epoch_us() })
+            (r, start.elapsed())
         });
 
         // Publish in submission order. The good results of a batch with
         // one bad job are still published; the first error (by
         // submission order) propagates after.
         let mut first_err: Option<JobError> = None;
-        for (&i, (res, span)) in misses.iter().zip(computed) {
+        for (&i, (res, wall)) in misses.iter().zip(computed) {
             match res {
-                Ok(r) => out[i] = Some(Arc::clone(&self.publish(&keys[i], r, span, None).result)),
+                Ok(r) => {
+                    let r = Arc::clone(&self.publish(&keys[i], r).result);
+                    log.push(RunTiming::new(&r, false, wall));
+                    out[i] = Some(r);
+                }
                 Err(e) => {
                     first_err.get_or_insert(e);
                 }
             }
         }
+        lock_unpoisoned(&self.state.log).append(&mut log);
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -1018,7 +909,7 @@ impl Runner {
     }
 
     /// Executes `job` unconditionally — no probe — and publishes the
-    /// result to the LRU, the store tier and the log: the miss half of
+    /// result to the LRU and the store tier: the miss half of
     /// one `scc-serve` worker's path, after [`Runner::try_cached`]
     /// missed. The returned digest is memoised on the published entry,
     /// so later hits on it do not recompute it.
@@ -1028,9 +919,6 @@ impl Runner {
     ///   it and the job fails with [`JobError::Cancelled`]. Cancelled
     ///   runs publish nothing (their stats are partial), and an
     ///   already-expired deadline cancels before simulating a cycle.
-    /// * `request` — request ID recorded on the run's log entry, so
-    ///   service requests are attributable in the exported trace's
-    ///   runner track.
     /// * `audit` — attach an [`AuditLog`] sink to the run and return its
     ///   decisions as JSON Lines. Audit is a property of an *execution*,
     ///   not a result, so audit requests skip the probe; the observability
@@ -1040,13 +928,10 @@ impl Runner {
         &self,
         job: &Job<'_>,
         deadline: Option<Instant>,
-        request: Option<&str>,
         audit: bool,
     ) -> Result<RunOne, JobError> {
-        let start_us = epoch_us();
         let (result, audit_jsonl) = execute(job, deadline, audit)?;
-        let span = Span { worker: 0, start_us, end_us: epoch_us() };
-        Ok(self.publish(&job.key(), result, span, request).run_one(false, audit_jsonl))
+        Ok(self.publish(&job.key(), result).run_one(false, audit_jsonl))
     }
 
     /// Probes the result tiers (LRU, then the persistent store,
@@ -1055,15 +940,18 @@ impl Runner {
     ///
     /// This is the serving fast path: [`job_key`] is a pure string
     /// computation over the request fields, so a cache hit costs a map
-    /// lookup instead of a program build. `request` lands on the hit's
-    /// log entry. Callers that miss execute via [`Runner::run_fresh`],
-    /// so the miss is counted exactly once.
+    /// lookup instead of a program build. Callers that miss execute via
+    /// [`Runner::run_fresh`], so the miss is counted exactly once.
     ///
     /// A hit costs the same whatever the result's size: the digest comes
-    /// from the entry, computed once on its first use, and the hit's one
-    /// log entry goes into a ring capped at [`LOG_CAP`].
-    pub fn try_cached(&self, key: &str, request: Option<&str>) -> Option<RunOne> {
-        Some(self.probe(key, request)?.run_one(true, None))
+    /// from the entry, computed once on its first use, and a hit writes
+    /// no log.
+    ///
+    /// The second parameter is ignored. It remains only because the
+    /// benchmark package (`perfbench/`) calls `try_cached(key, None)`;
+    /// it goes when that caller changes.
+    pub fn try_cached(&self, key: &str, _request: Option<&str>) -> Option<RunOne> {
+        Some(self.probe(key)?.run_one(true, None))
     }
 
     /// Decodes every live record of the attached store tier into this
@@ -1086,7 +974,6 @@ impl Runner {
             }
         }
         tier.preloaded.fetch_add(promoted as u64, Ordering::Relaxed);
-        tier.log_op("warm", format!("entries={promoted}"), promoted as u64);
         Ok(promoted)
     }
 
@@ -1114,12 +1001,11 @@ impl Runner {
         ]
     }
 
-    /// Snapshot of this runner's log, oldest first: the newest
-    /// [`LOG_CAP`] resolutions, fresh and cached. Feed it to
-    /// [`crate::report::throughput_json`] or
-    /// [`crate::trace_export::replay_schedule`].
+    /// Snapshot of this runner's log, oldest first: every job its
+    /// [`Runner::try_run`] batches resolved, fresh and cached. Feed it
+    /// to [`crate::report::throughput_json`].
     pub fn timings(&self) -> Vec<RunTiming> {
-        lock_unpoisoned(&self.state.log).snapshot()
+        lock_unpoisoned(&self.state.log).clone()
     }
 
     /// Writes this runner's log as throughput JSON (see
@@ -1140,51 +1026,25 @@ impl Runner {
     }
 
     /// The probe: LRU, then the store tier (promoting a hit into the
-    /// LRU), then one log entry for the hit.
-    fn probe(&self, key: &str, request: Option<&str>) -> Option<Arc<Resident>> {
+    /// LRU).
+    fn probe(&self, key: &str) -> Option<Arc<Resident>> {
         let lru = lock_unpoisoned(&self.state.cache).get(key);
-        let resident = match lru {
-            Some(r) => r,
-            None => {
-                let r = Resident::new(self.store.as_ref()?.get(key)?);
-                lock_unpoisoned(&self.state.cache).insert(key, Arc::clone(&r));
-                r
-            }
-        };
-        self.record(&resident.result, true, Span::hit(), request);
-        Some(resident)
+        if lru.is_some() {
+            return lru;
+        }
+        let r = Resident::new(self.store.as_ref()?.get(key)?);
+        lock_unpoisoned(&self.state.cache).insert(key, Arc::clone(&r));
+        Some(r)
     }
 
-    /// The publish: LRU insert, store write-through, then one log entry
-    /// for the fresh run.
-    fn publish(
-        &self,
-        key: &str,
-        result: SimResult,
-        span: Span,
-        request: Option<&str>,
-    ) -> Arc<Resident> {
+    /// The publish: LRU insert, then store write-through.
+    fn publish(&self, key: &str, result: SimResult) -> Arc<Resident> {
         let resident = Resident::new(Arc::new(result));
         lock_unpoisoned(&self.state.cache).insert(key, Arc::clone(&resident));
         if let Some(tier) = &self.store {
             tier.put(key, &resident.result);
         }
-        self.record(&resident.result, false, span, request);
         resident
-    }
-
-    fn record(&self, r: &SimResult, cached: bool, span: Span, request: Option<&str>) {
-        let entry = RunTiming {
-            workload: r.workload.clone(),
-            level: r.level.label(),
-            uops: r.stats.committed_uops,
-            cached,
-            worker: span.worker,
-            start_us: span.start_us,
-            end_us: span.end_us,
-            request: request.map(str::to_string),
-        };
-        lock_unpoisoned(&self.state.log).push(entry);
     }
 }
 
@@ -1440,36 +1300,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_records_worker_slots_and_windows() {
-        let scale = Scale::custom(270);
-        let w = workload("vips", scale).unwrap();
-        let opts = SimOptions::new(OptLevel::Baseline);
-        let runner = Runner::with_jobs(2);
-        runner.run(&[Job::new(&w, &opts)]);
-        runner.run(&[Job::new(&w, &opts)]); // cache hit
-        let log = runner.timings();
-        let [fresh, hit] = &log[..] else { panic!("one fresh run, one hit: {log:?}") };
-        assert!(!fresh.cached && fresh.end_us >= fresh.start_us);
-        assert!(fresh.worker < 2);
-        assert_eq!(fresh.level, "baseline");
-        assert!(hit.cached);
-        assert_eq!((hit.worker, hit.start_us), (0, hit.end_us), "hits are zero-length spans");
-    }
-
-    #[test]
-    fn parallel_map_indexed_passes_valid_slots() {
-        let items: Vec<u64> = (0..50).collect();
-        let slots = parallel_map_indexed(4, &items, |slot, &x| {
-            assert!(slot < 4);
-            (slot, x)
-        });
-        assert_eq!(slots.len(), 50);
-        for (i, (_, x)) in slots.iter().enumerate() {
-            assert_eq!(*x, i as u64, "item order preserved");
-        }
-    }
-
-    #[test]
     fn runner_new_is_environment_free() {
         // `Runner::new` must not consult SCC_JOBS — only the binary-edge
         // helper does.
@@ -1657,7 +1487,7 @@ mod tests {
         let job = Job::new(&w, &SimOptions::new(OptLevel::Baseline));
         let key = job.key();
         let first = Runner::with_jobs(1);
-        let computed = first.run(&[job]);
+        let computed = first.run(std::slice::from_ref(&job));
 
         // A second runner has its own, empty cache and log.
         let second = Runner::with_jobs(1);
@@ -1672,6 +1502,7 @@ mod tests {
         assert!(hit.cached && Arc::ptr_eq(&hit.result, &computed[0]));
         let warm = CacheStats { len: 1, hits: 1, ..cold };
         assert_eq!(first.cache_stats(), warm);
+        clone.run(&[job]);
         let log = first.timings();
         assert_eq!(log.iter().map(|t| t.cached).collect::<Vec<_>>(), [false, true]);
     }
@@ -1686,28 +1517,32 @@ mod tests {
 
     /// One `scc-serve` worker's path: a plain request probes by key
     /// first; a miss, or an audit request, simulates.
-    fn try_run_one(runner: &Runner, job: &Job<'_>, request: Option<&str>, audit: bool) -> RunOne {
-        let hit = if audit { None } else { runner.try_cached(&job.key(), request) };
-        hit.unwrap_or_else(|| runner.run_fresh(job, None, request, audit).unwrap())
+    fn try_run_one(runner: &Runner, job: &Job<'_>, audit: bool) -> RunOne {
+        let hit = if audit { None } else { runner.try_cached(&job.key(), None) };
+        hit.unwrap_or_else(|| runner.run_fresh(job, None, audit).unwrap())
     }
 
+    /// The serving path writes no log: a miss resolved by `run_fresh`
+    /// and the hits after it leave `timings()` as it was, and only a
+    /// `try_run` batch appends, one entry per job.
     #[test]
-    fn try_run_one_hits_cache_and_records_request_ids() {
+    fn only_batches_write_the_log() {
         let scale = Scale::custom(290);
         let w = workload("leela", scale).unwrap();
         let job = Job::new(&w, &SimOptions::new(OptLevel::Full));
         let runner = Runner::with_jobs(1);
-        let first = try_run_one(&runner, &job, Some("req-1"), false);
+        let first = try_run_one(&runner, &job, false);
         assert!(!first.cached);
-        let second = try_run_one(&runner, &job, Some("req-2"), false);
+        let second = try_run_one(&runner, &job, false);
         assert!(second.cached, "second identical request is a hit");
         assert!(Arc::ptr_eq(&first.result, &second.result));
-        // And batch jobs remain unattributed.
+        assert!(runner.timings().is_empty(), "neither the miss nor the hit logged");
         runner.run(&[job]);
-        let log: Vec<_> =
-            runner.timings().into_iter().map(|t| (t.request, t.cached)).collect();
-        let attributed = |id: &str, cached| (Some(id.to_string()), cached);
-        assert_eq!(log, [attributed("req-1", false), attributed("req-2", true), (None, true)]);
+        let log = runner.timings();
+        assert_eq!(log.len(), 1, "the batch logged its one job");
+        assert_eq!((log[0].workload.as_str(), log[0].level), ("leela", "full-scc"));
+        assert_eq!((log[0].cached, log[0].wall), (true, Duration::ZERO));
+        assert_eq!(log[0].uops, first.result.stats.committed_uops);
     }
 
     #[test]
@@ -1718,20 +1553,18 @@ mod tests {
         let runner = Runner::with_jobs(1);
         let key = job.key();
         assert!(runner.try_cached(&key, None).is_none(), "cold key must miss");
-        let fresh = runner.run_fresh(&job, None, Some("req-f"), false).unwrap();
+        let fresh = runner.run_fresh(&job, None, false).unwrap();
         assert!(!fresh.cached);
         let s = runner.cache_stats();
         assert_eq!((s.len, s.hits, s.misses), (1, 0, 1), "run_fresh does not probe");
         // The probe resolves by key alone — no Workload in sight — and
         // the hit is counted like any other cached resolution.
-        let hit = runner.try_cached(&key, Some("req-k")).unwrap();
+        let hit = runner.try_cached(&key, None).unwrap();
         assert!(Arc::ptr_eq(&fresh.result, &hit.result));
         assert_eq!(hit.digest, arch_digest(&hit.result));
         assert_eq!(hit.digest, fresh.digest, "the hit reuses the published digest");
         let s = runner.cache_stats();
         assert_eq!((s.len, s.hits, s.misses), (1, 1, 1));
-        let last = runner.timings().pop().unwrap();
-        assert_eq!((last.request.as_deref(), last.cached), (Some("req-k"), true));
     }
 
     #[test]
@@ -1742,7 +1575,7 @@ mod tests {
         let runner = Runner::with_jobs(1);
         // An already-expired deadline cancels before the first cycle.
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = runner.run_fresh(&job, Some(past), Some("req-dead"), false).unwrap_err();
+        let err = runner.run_fresh(&job, Some(past), false).unwrap_err();
         match &err {
             JobError::Cancelled { workload, cycles_run, .. } => {
                 assert_eq!(workload, "gcc");
@@ -1754,7 +1587,7 @@ mod tests {
         // The cancelled run left nothing behind: the retry is fresh.
         assert_eq!(runner.cache_stats().len, 0, "a cancelled run must not enter the cache");
         assert!(runner.timings().is_empty(), "nor the log");
-        let ok = try_run_one(&runner, &job, Some("req-retry"), false);
+        let ok = try_run_one(&runner, &job, false);
         assert!(!ok.cached);
         assert!(ok.result.halted);
     }
@@ -1779,10 +1612,10 @@ mod tests {
 
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-test").unwrap();
         let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
-        let first = try_run_one(&runner, &job, None, false);
+        let first = try_run_one(&runner, &job, false);
         assert!(!first.cached, "empty store: the first run simulates");
         let other = Runner::with_jobs(1).with_store(Arc::clone(&tier));
-        let second = try_run_one(&other, &job, None, false);
+        let second = try_run_one(&other, &job, false);
         assert!(second.cached, "a second runner is served from the persistent tier");
         assert_eq!(first.result.stats, second.result.stats);
         assert_eq!(first.result.snapshot, second.result.snapshot);
@@ -1805,14 +1638,6 @@ mod tests {
         assert_eq!(metric("runner.store.hits"), 1);
         assert_eq!(metric("runner.store.misses"), 1);
         assert_eq!(metric("runner.store.decode_rejects"), 0);
-        let events = tier.trace_events();
-        assert!(matches!(events[0], Event::StoreOp { op: "recover", .. }));
-        for op in ["miss", "write", "hit"] {
-            assert!(
-                events.iter().any(|e| matches!(e, Event::StoreOp { op: o, .. } if *o == op)),
-                "expected a {op} trace event"
-            );
-        }
         tier.flush().unwrap();
         drop(runner);
         drop(tier);
@@ -1823,7 +1648,7 @@ mod tests {
         assert_eq!(tier.recovery().records_indexed, 1);
         assert_eq!(tier.recovery().invalidated_segments(), 0);
         let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
-        let warm = try_run_one(&runner, &job, None, false);
+        let warm = try_run_one(&runner, &job, false);
         assert!(warm.cached, "results survive a restart");
         assert_eq!(warm.result.stats, first.result.stats);
         assert_eq!(warm.result.snapshot, first.result.snapshot);
@@ -1838,7 +1663,7 @@ mod tests {
 
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-a").unwrap();
         let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
-        try_run_one(&runner, &job, None, false);
+        try_run_one(&runner, &job, false);
         tier.flush().unwrap();
         drop(runner);
         drop(tier);
@@ -1849,7 +1674,7 @@ mod tests {
         assert!(tier.recovery().version_mismatch_segments >= 1);
         assert_eq!(tier.recovery().records_indexed, 0);
         let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
-        let rerun = try_run_one(&runner, &job, None, false);
+        let rerun = try_run_one(&runner, &job, false);
         assert!(!rerun.cached, "a stale engine revision must not serve warm hits");
         tier.flush().unwrap();
         drop(runner);
@@ -1860,7 +1685,7 @@ mod tests {
             StoreTier::open_with(&dir, persist::SCHEMA_VERSION + 1, "rev-b").unwrap();
         assert!(tier.recovery().version_mismatch_segments >= 1);
         let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
-        let rerun = try_run_one(&runner, &job, None, false);
+        let rerun = try_run_one(&runner, &job, false);
         assert!(!rerun.cached, "a schema bump must not serve warm hits");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1911,7 +1736,7 @@ mod tests {
         }
         let tier = StoreTier::open_with(&dir, persist::SCHEMA_VERSION, "rev-test").unwrap();
         let runner = Runner::with_jobs(1).with_store(Arc::clone(&tier));
-        let r = try_run_one(&runner, &job, None, false);
+        let r = try_run_one(&runner, &job, false);
         assert!(!r.cached, "an undecodable value is a miss, not data");
         assert!(r.result.halted);
         let rejects = tier
@@ -1929,8 +1754,8 @@ mod tests {
         let w = workload("freqmine", scale).unwrap();
         let job = Job::new(&w, &SimOptions::new(OptLevel::Full));
         let runner = Runner::with_jobs(1);
-        let plain = try_run_one(&runner, &job, None, false);
-        let audited = try_run_one(&runner, &job, None, true);
+        let plain = try_run_one(&runner, &job, false);
+        let audited = try_run_one(&runner, &job, true);
         assert!(!audited.cached, "audit runs bypass the cache lookup");
         assert!(plain.audit_jsonl.is_none());
         let jsonl = audited.audit_jsonl.expect("audit payload present");

@@ -181,9 +181,9 @@ impl CompactedStream {
     }
 
     /// Eliminated micro-ops credited to surviving elements via
-    /// [`StreamUop::elided_before`]; never exceeds [`shrinkage`]
-    /// (Self::shrinkage), and the difference is the tail credited at
-    /// the stream's final element.
+    /// [`StreamUop::elided_before`]; never exceeds
+    /// [`shrinkage`](Self::shrinkage), and the difference is the tail
+    /// credited at the stream's final element.
     pub fn credited_elided(&self) -> u32 {
         self.uops.iter().map(|su| su.elided_before).sum()
     }
